@@ -34,6 +34,7 @@ Trial run_trial(const sim::AddressPlan& plan, const sim::NamingModel& naming,
   sim::Authority final_auth(sim::AuthorityConfig{
       .name = "final",
       .level = sim::AuthorityLevel::kFinal,
+      .country = std::nullopt,
       .zone = net::Prefix(scanner_addr, 24),
   });
   sim::Authority m_root(sim::m_root_authority());

@@ -249,7 +249,7 @@ FeatureVector FeatureEngine::compute_row(const FeatureExtractionCache::RowEntry&
   const double queriers = static_cast<double>(k);
   // Integer tallies divided once: identical to summing 1.0 per member and
   // dividing (both are exact below 2^53), so rows match the reference
-  // tally_static_features path bit-for-bit.
+  // compute_static_features path bit-for-bit.
   for (std::size_t c = 0; c < kQuerierCategoryCount; ++c) {
     fv.statics[c] = static_cast<double>(category_counts[c]) / queriers;
   }
@@ -285,24 +285,38 @@ std::vector<FeatureVector> FeatureEngine::extract(
   FeatureExtractionStats stats;
 
   // --- 1. Dirty scan: which aggregates changed since this engine last
-  // looked, and which of their queriers the interner hasn't met yet.
-  std::vector<const OriginatorAggregate*> dirty;
+  // looked.  Each dirty aggregate's querier histogram is flattened once,
+  // here, into (qid, count) columns that the later steps read.  A querier
+  // the interner hasn't met yet is queued in first-seen order; interning
+  // assigns ids sequentially, so its id is known now: first_new_id plus
+  // its queue position.
+  const auto first_new_id = static_cast<std::uint32_t>(cache.querier_count());
+  util::FlatMap<net::IPv4Addr, std::uint32_t> dirty_index;  ///< originator -> dirty slot
+  std::vector<std::size_t> column_begin;  ///< per dirty slot, + end sentinel
+  std::vector<std::uint32_t> column_qids, column_counts;
   std::vector<net::IPv4Addr> pending;
-  util::FlatSet<net::IPv4Addr> pending_seen;
+  util::FlatMap<net::IPv4Addr, std::uint32_t> pending_id;
   scanned_.reserve(interval.aggregates().size());
   for (const auto& [addr, agg] : interval.aggregates()) {
     auto [slot, inserted] = scanned_.try_emplace(addr, std::uint64_t{0});
     if (!inserted && slot->second == agg.mod_count) continue;
     slot->second = agg.mod_count;
-    dirty.push_back(&agg);
+    dirty_index.try_emplace(addr, static_cast<std::uint32_t>(column_begin.size()));
+    column_begin.push_back(column_qids.size());
     for (const auto& [querier, count] : agg.querier_queries) {
-      if (cache.id_of(querier) == FeatureExtractionCache::kNoId &&
-          pending_seen.insert(querier)) {
-        pending.push_back(querier);
+      std::uint32_t qid = cache.id_of(querier);
+      if (qid == FeatureExtractionCache::kNoId) {
+        const auto [queued, fresh] = pending_id.try_emplace(
+            querier, first_new_id + static_cast<std::uint32_t>(pending.size()));
+        if (fresh) pending.push_back(querier);
+        qid = queued->second;
       }
+      column_qids.push_back(qid);
+      column_counts.push_back(count);
     }
   }
-  stats.dirty_originators = dirty.size();
+  column_begin.push_back(column_qids.size());
+  stats.dirty_originators = dirty_index.size();
 
   // --- 2. Resolve the unseen queriers in parallel (resolver and AS/geo
   // databases are read-only), then intern serially in first-seen order so
@@ -333,19 +347,16 @@ std::vector<FeatureVector> FeatureEngine::extract(
   // monotonically and rescanning a dirty aggregate is idempotent.
   as_seen_.resize(cache.as_count() + 1, 0);
   cc_seen_.resize(cache.cc_count() + 1, 0);
-  for (const OriginatorAggregate* agg : dirty) {
-    for (const auto& [querier, count] : agg->querier_queries) {
-      const std::uint32_t qid = cache.id_of(querier);
-      const std::uint32_t as = cache.as_id(qid);
-      if (as != 0 && !as_seen_[as]) {
-        as_seen_[as] = 1;
-        ++as_norm_;
-      }
-      const std::uint32_t cc = cache.cc_id(qid);
-      if (cc != 0 && !cc_seen_[cc]) {
-        cc_seen_[cc] = 1;
-        ++cc_norm_;
-      }
+  for (const std::uint32_t qid : column_qids) {
+    const std::uint32_t as = cache.as_id(qid);
+    if (as != 0 && !as_seen_[as]) {
+      as_seen_[as] = 1;
+      ++as_norm_;
+    }
+    const std::uint32_t cc = cache.cc_id(qid);
+    if (cc != 0 && !cc_seen_[cc]) {
+      cc_seen_[cc] = 1;
+      ++cc_norm_;
     }
   }
   periods_norm_ = interval.total_periods();
@@ -389,30 +400,33 @@ std::vector<FeatureVector> FeatureEngine::extract(
           } else {
             // Foreign or stale stamp (another engine shares the cache, or
             // the aggregate changed): trust nothing, compare the columns.
-            bool same = entry.interval_token != 0 &&
-                        entry.total_queries == agg.total_queries &&
-                        entry.period_count == agg.periods.size() &&
-                        entry.footprint == agg.unique_queriers() &&
-                        entry.qids.size() == agg.querier_queries.size();
-            if (same) {
-              std::size_t m = 0;
+            // A dirty aggregate's columns came from the scan; one this
+            // engine scanned in an earlier call is flattened again here.
+            std::span<const std::uint32_t> qids, counts;
+            if (const auto* d = dirty_index.find(agg.originator)) {
+              const std::size_t lo = column_begin[d->second];
+              const std::size_t len = column_begin[d->second + 1] - lo;
+              qids = std::span<const std::uint32_t>(column_qids).subspan(lo, len);
+              counts = std::span<const std::uint32_t>(column_counts).subspan(lo, len);
+            } else {
+              scratch.qids.clear();
+              scratch.counts.clear();
               for (const auto& [querier, count] : agg.querier_queries) {
-                if (entry.qids[m] != cache.id_of(querier) || entry.counts[m] != count) {
-                  same = false;
-                  break;
-                }
-                ++m;
+                scratch.qids.push_back(cache.id_of(querier));
+                scratch.counts.push_back(count);
               }
+              qids = scratch.qids;
+              counts = scratch.counts;
             }
+            const bool same = entry.interval_token != 0 &&
+                              entry.total_queries == agg.total_queries &&
+                              entry.period_count == agg.periods.size() &&
+                              entry.footprint == agg.unique_queriers() &&
+                              std::ranges::equal(entry.qids, qids) &&
+                              std::ranges::equal(entry.counts, counts);
             if (!same) {
-              entry.qids.clear();
-              entry.counts.clear();
-              entry.qids.reserve(agg.querier_queries.size());
-              entry.counts.reserve(agg.querier_queries.size());
-              for (const auto& [querier, count] : agg.querier_queries) {
-                entry.qids.push_back(cache.id_of(querier));
-                entry.counts.push_back(count);
-              }
+              entry.qids.assign(qids.begin(), qids.end());
+              entry.counts.assign(counts.begin(), counts.end());
               entry.total_queries = agg.total_queries;
               entry.period_count = agg.periods.size();
               entry.footprint = agg.unique_queriers();

@@ -32,6 +32,14 @@
 //                  the cache)
 //   recompute      anything else; recompute reads only the columns
 //
+// Cold cost.  On a fresh cache the per-querier work dominates: one reverse
+// lookup plus keyword classification per distinct querier, and one
+// interner probe per (querier, originator) pair.  extract() pays each
+// once.  The dirty scan flattens every changed aggregate into (qid, count)
+// columns; an unseen querier's id is known at scan time (interning hands
+// out ids sequentially in first-seen order), so the normalizer fold and
+// the row phase read those columns instead of probing the interner again.
+//
 // The cache may be shared across Sensors (analysis::WindowedPipeline does
 // this for consecutive windows) under one assumption: the resolver and
 // AS/geo databases are stable for the lifetime of the cache, because
@@ -177,6 +185,7 @@ class FeatureEngine {
     std::vector<std::uint64_t> stamp24, stamp8, stamp_as, stamp_cc;
     std::vector<std::uint32_t> pos24, pos8;
     std::vector<std::size_t> counts24, counts8;  ///< first-touch bucket order
+    std::vector<std::uint32_t> qids, counts;     ///< re-flattened histogram
     std::uint64_t epoch = 0;
 
     void ensure(std::size_t s24_n, std::size_t as_n, std::size_t cc_n);

@@ -1,29 +1,36 @@
 #include "dns/name.hpp"
 
-#include <cctype>
-
-#include "util/strings.hpp"
+#include <algorithm>
 
 namespace dnsbs::dns {
 
 namespace {
 constexpr std::size_t kMaxLabel = 63;
 constexpr std::size_t kMaxWire = 255;
+/// Longest presentation text (no trailing dot) of a name within kMaxWire:
+/// the wire form swaps each dot for a length byte and adds the first
+/// label's length byte and the root byte.
+constexpr std::size_t kMaxText = kMaxWire - 2;
 
 bool valid_label_char(char c) noexcept {
   // Accept the LDH set plus underscore (seen in real reverse trees) —
   // printable, no dots or whitespace.
-  const unsigned char u = static_cast<unsigned char>(c);
-  return std::isalnum(u) || c == '-' || c == '_';
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
+         c == '-' || c == '_';
+}
+
+/// ASCII lowercase in place; every other byte passes through unchanged.
+void lower_in_place(std::string& label) noexcept {
+  for (char& c : label) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
 }
 }  // namespace
 
 DnsName DnsName::from_labels(std::vector<std::string> labels) {
+  for (auto& label : labels) lower_in_place(label);
   DnsName name;
-  name.labels_.reserve(labels.size());
-  for (auto& label : labels) {
-    name.labels_.push_back(util::to_lower(label));
-  }
+  name.labels_ = std::move(labels);
   return name;
 }
 
@@ -31,20 +38,23 @@ std::optional<DnsName> DnsName::parse(std::string_view text) {
   if (text.empty()) return std::nullopt;
   if (text == ".") return DnsName{};
   if (text.back() == '.') text.remove_suffix(1);
-  if (text.empty()) return std::nullopt;
+  // With every label non-empty, the wire form is exactly text.size() + 2.
+  if (text.empty() || text.size() > kMaxText) return std::nullopt;
 
   DnsName name;
-  std::size_t wire = 1;  // root byte
-  for (const auto piece : util::split(text, '.')) {
-    if (piece.empty() || piece.size() > kMaxLabel) return std::nullopt;
-    for (const char c : piece) {
+  name.labels_.reserve(static_cast<std::size_t>(std::count(text.begin(), text.end(), '.')) + 1);
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t end = std::min(text.find('.', start), text.size());
+    if (end == start || end - start > kMaxLabel) return std::nullopt;
+    std::string& label = name.labels_.emplace_back(text.substr(start, end - start));
+    for (const char c : label) {
       if (!valid_label_char(c)) return std::nullopt;
     }
-    wire += 1 + piece.size();
-    if (wire > kMaxWire) return std::nullopt;
-    name.labels_.push_back(util::to_lower(piece));
+    lower_in_place(label);
+    if (end == text.size()) return name;
+    start = end + 1;
   }
-  return name;
 }
 
 bool DnsName::ends_in(const DnsName& suffix) const noexcept {
@@ -66,7 +76,7 @@ DnsName DnsName::parent() const {
 DnsName DnsName::child(std::string_view label) const {
   DnsName c;
   c.labels_.reserve(labels_.size() + 1);
-  c.labels_.push_back(util::to_lower(label));
+  lower_in_place(c.labels_.emplace_back(label));
   c.labels_.insert(c.labels_.end(), labels_.begin(), labels_.end());
   return c;
 }

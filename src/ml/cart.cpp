@@ -126,7 +126,7 @@ void CartTree::fit_weights(const Dataset& train, const Presort& presort,
 
   std::vector<std::uint8_t> side(train.size(), 0);
   std::vector<std::uint32_t> scratch(present);
-  BuildContext ctx{train, weights, cols, present, side, scratch, rng};
+  BuildContext ctx{train, weights, cols, present, side, scratch, rng, 0, {}, {}, {}};
   build(ctx, 0, present, 0);
   g_cart_fits.inc();
   g_cart_nodes.add(nodes_.size());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/strings.hpp"
 
@@ -95,13 +94,13 @@ AddressPlan AddressPlan::generate(const AddressPlanConfig& config, std::uint64_t
   //    /24 index.  Type by the configured mix.
   double mix_total = 0.0;
   for (const double m : config.site_mix) mix_total += m;
-  std::unordered_set<std::uint32_t> used_slash24;
   plan.sites_.reserve(config.sites);
   while (plan.sites_.size() < config.sites) {
     const AsInfo& as_info = plan.ases_[rng.below(plan.ases_.size())];
     const net::Prefix& p16 = as_info.slash16s[rng.below(as_info.slash16s.size())];
     const std::uint32_t s24 = (p16.address().value() >> 8) | rng.below(256);
-    if (!used_slash24.insert(s24).second) continue;
+    const auto index = static_cast<std::uint32_t>(plan.sites_.size());
+    if (!plan.site_index_.try_emplace(s24, index).second) continue;
 
     Site site;
     site.prefix = net::Prefix(net::IPv4Addr(s24 << 8), 24);
@@ -115,7 +114,6 @@ AddressPlan AddressPlan::generate(const AddressPlanConfig& config, std::uint64_t
       if (r < 0.0) break;
     }
     site.type = static_cast<SiteType>(type_idx);
-    plan.site_trie_.insert(site.prefix, plan.sites_.size());
     plan.by_type_[type_idx].push_back(plan.sites_.size());
     plan.sites_.push_back(site);
   }
@@ -144,8 +142,8 @@ net::IPv4Addr AddressPlan::random_host(util::Rng& rng) const noexcept {
 }
 
 const Site* AddressPlan::site_of(net::IPv4Addr addr) const noexcept {
-  const std::size_t* idx = site_trie_.lookup(addr);
-  return idx ? &sites_[*idx] : nullptr;
+  const auto* slot = site_index_.find(addr.slash24());
+  return slot ? &sites_[slot->second] : nullptr;
 }
 
 }  // namespace dnsbs::sim

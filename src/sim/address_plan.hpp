@@ -13,11 +13,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/prefix_trie.hpp"
-
 #include "net/ipv4.hpp"
 #include "netdb/as_db.hpp"
 #include "netdb/geo_db.hpp"
+#include "util/flat_hash.hpp"
 #include "util/rng.hpp"
 
 namespace dnsbs::sim {
@@ -101,7 +100,9 @@ class AddressPlan {
   std::vector<Site> sites_;
   std::vector<AsInfo> ases_;
   std::array<std::vector<std::size_t>, kSiteTypeCount> by_type_{};
-  net::PrefixTrie<std::size_t> site_trie_;  ///< /24 -> index into sites_
+  /// slash24() of a site's /24 -> index into sites_.  Every site is
+  /// exactly one /24, so membership is one exact-key probe.
+  util::FlatMap<std::uint32_t, std::uint32_t> site_index_;
 };
 
 }  // namespace dnsbs::sim

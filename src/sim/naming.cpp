@@ -1,6 +1,9 @@
 #include "sim/naming.hpp"
 
-#include "util/strings.hpp"
+#include <algorithm>
+#include <charconv>
+#include <cstring>
+#include <string_view>
 
 namespace dnsbs::sim {
 
@@ -20,6 +23,41 @@ std::size_t hpick(std::uint64_t h, std::size_t n) noexcept { return h % n; }
 double hfrac(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
+
+/// Pool/desktop hosts: the roles that can lack a PTR record or sit behind
+/// a broken reverse delegation.
+bool is_pool_host(HostRole role) noexcept {
+  return role == HostRole::kHomeHost || role == HostRole::kMobileHost ||
+         role == HostRole::kCorpHost || role == HostRole::kServer;
+}
+
+/// A reverse name written into a fixed stack buffer.  Every name the model
+/// makes is a few fixed words and at most four decimal octets plus an AS or
+/// /24 number, far below the buffer; appends clamp at its end regardless.
+class NameBuffer {
+ public:
+  NameBuffer& operator<<(std::string_view text) noexcept {
+    const std::size_t n = std::min(text.size(), static_cast<std::size_t>(end() - pos_));
+    std::memcpy(pos_, text.data(), n);
+    pos_ += n;
+    return *this;
+  }
+  NameBuffer& operator<<(std::uint32_t value) noexcept {
+    pos_ = std::to_chars(pos_, end(), value).ptr;
+    return *this;
+  }
+  NameBuffer& operator<<(char) = delete;  // would print as a number
+
+  std::string_view view() const noexcept {
+    return {buf_, static_cast<std::size_t>(pos_ - buf_)};
+  }
+
+ private:
+  char* end() noexcept { return buf_ + sizeof buf_; }
+
+  char buf_[256];
+  char* pos_ = buf_;
+};
 
 }  // namespace
 
@@ -53,7 +91,10 @@ std::uint64_t NamingModel::mix(net::IPv4Addr addr, std::uint64_t salt) const noe
 }
 
 HostRole NamingModel::role_of(net::IPv4Addr addr) const {
-  const Site* site = plan_.site_of(addr);
+  return role_in(plan_.site_of(addr), addr);
+}
+
+HostRole NamingModel::role_in(const Site* site, net::IPv4Addr addr) const noexcept {
   const std::uint32_t host = addr.value() & 0xff;
   if (!site) return HostRole::kServer;
 
@@ -110,12 +151,14 @@ HostRole NamingModel::role_of(net::IPv4Addr addr) const {
 
 bool NamingModel::has_reverse(net::IPv4Addr addr) const {
   const Site* site = plan_.site_of(addr);
-  const HostRole role = role_of(addr);
+  return has_reverse_in(site, role_in(site, addr), addr);
+}
+
+bool NamingModel::has_reverse_in(const Site* site, HostRole role,
+                                 net::IPv4Addr addr) const noexcept {
   // Infrastructure is essentially always named; pool/desktop hosts miss
   // reverse names at the configured per-site-type rate.
-  const bool pool_host = role == HostRole::kHomeHost || role == HostRole::kMobileHost ||
-                         role == HostRole::kCorpHost || role == HostRole::kServer;
-  if (!pool_host) return true;
+  if (!is_pool_host(role)) return true;
   const double frac =
       site ? config_.nxdomain_fraction[static_cast<std::size_t>(site->type)] : 0.5;
   return hfrac(mix(addr, 0x9a3e)) >= frac;
@@ -136,20 +179,16 @@ std::uint32_t NamingModel::negative_ttl(net::IPv4Addr addr) const {
 core::QuerierInfo NamingModel::resolve(net::IPv4Addr querier) const {
   core::QuerierInfo info;
   const std::uint64_t h = mix(querier, 0x6a6e);
+  const Site* site = plan_.site_of(querier);
+  const HostRole role = role_in(site, querier);
 
-  if (!has_reverse(querier)) {
+  if (!has_reverse_in(site, role, querier)) {
     info.status = core::ResolveStatus::kNxDomain;
     return info;
   }
-
-  const Site* site = plan_.site_of(querier);
-  const HostRole role = role_of(querier);
-
   // Broken reverse delegations afflict pool/desktop space, not the
   // infrastructure hosts whose operators depend on their reverse names.
-  const bool pool_host = role == HostRole::kHomeHost || role == HostRole::kMobileHost ||
-                         role == HostRole::kCorpHost || role == HostRole::kServer;
-  if (pool_host && hfrac(splitmix(h ^ 0x12)) < config_.unreach_fraction) {
+  if (is_pool_host(role) && hfrac(splitmix(h ^ 0x12)) < config_.unreach_fraction) {
     info.status = core::ResolveStatus::kUnreachable;
     return info;
   }
@@ -157,103 +196,117 @@ core::QuerierInfo NamingModel::resolve(net::IPv4Addr querier) const {
   const std::uint32_t asn = site ? site->asn : 0;
   const std::uint32_t a = querier.octet(0), b = querier.octet(1), c = querier.octet(2),
                       d = querier.octet(3);
-  // Operator domains: residential/mobile pools live under the ISP (AS)
-  // domain; corporate and university sites have their own.
-  const std::string isp_domain = util::format("isp%u.%s", asn, cc.c_str());
-  const std::string org_domain = util::format("corp%u.co.%s", querier.slash24(), cc.c_str());
-  const std::string univ_domain = util::format("univ%u.ac.%s", querier.slash24(), cc.c_str());
-  const std::string dc_domain = util::format("dc%u.com", asn);
+  const SiteType type = site ? site->type : SiteType::kResidential;  // no site: org domain
+  const auto pick = [h](const auto& table) { return table[hpick(h, std::size(table))]; };
 
-  std::string name;
+  // Operator domains: residential/mobile pools live under the ISP (AS)
+  // domain; corporate and university sites have their own.  Only the
+  // chosen domain is written.
+  NameBuffer name;
+  const auto isp_domain = [&] { name << "isp" << asn << "." << cc.c_str(); };
+  const auto org_domain = [&] { name << "corp" << querier.slash24() << ".co." << cc.c_str(); };
+  const auto univ_domain = [&] { name << "univ" << querier.slash24() << ".ac." << cc.c_str(); };
+  const auto dc_domain = [&] { name << "dc" << asn << ".com"; };
   switch (role) {
     case HostRole::kIspResolver: {
       static constexpr const char* kNs[] = {"ns", "dns", "cns", "resolver", "cache"};
-      name = util::format("%s%u.%s", kNs[hpick(h, std::size(kNs))], d, isp_domain.c_str());
+      name << pick(kNs) << d << ".";
+      isp_domain();
       break;
     }
     case HostRole::kSiteResolver: {
       static constexpr const char* kNs[] = {"ns", "dns", "ns1", "namesrv"};
-      const Site* s = plan_.site_of(querier);
-      const std::string& dom = s && s->type == SiteType::kUniversity ? univ_domain
-                               : s && s->type == SiteType::kHosting  ? dc_domain
-                                                                     : org_domain;
-      name = util::format("%s.%s", kNs[hpick(h, std::size(kNs))], dom.c_str());
+      name << pick(kNs) << ".";
+      if (type == SiteType::kUniversity) {
+        univ_domain();
+      } else if (type == SiteType::kHosting) {
+        dc_domain();
+      } else {
+        org_domain();
+      }
       break;
     }
     case HostRole::kFirewall: {
       static constexpr const char* kFw[] = {"firewall", "fw", "fw1", "gw-wall"};
-      name = util::format("%s.%s", kFw[hpick(h, std::size(kFw))], org_domain.c_str());
+      name << pick(kFw) << ".";
+      org_domain();
       break;
     }
     case HostRole::kMailServer: {
       static constexpr const char* kMail[] = {"mail", "mx", "smtp", "mta", "mail1",
                                               "smtp2", "zimbra", "imap"};
-      const Site* s = plan_.site_of(querier);
-      const std::string& dom = s && s->type == SiteType::kHosting ? dc_domain
-                               : s && s->type == SiteType::kUniversity ? univ_domain
-                                                                       : org_domain;
-      name = util::format("%s.%s", kMail[hpick(h, std::size(kMail))], dom.c_str());
+      name << pick(kMail) << ".";
+      if (type == SiteType::kHosting) {
+        dc_domain();
+      } else if (type == SiteType::kUniversity) {
+        univ_domain();
+      } else {
+        org_domain();
+      }
       break;
     }
     case HostRole::kAntispam: {
       static constexpr const char* kAs[] = {"ironport", "spam-filter", "spam-gw"};
-      name = util::format("%s.%s", kAs[hpick(h, std::size(kAs))], org_domain.c_str());
+      name << pick(kAs) << ".";
+      org_domain();
       break;
     }
     case HostRole::kWebServer:
-      name = util::format("www%u.%s", d, dc_domain.c_str());
+      name << "www" << d << ".";
+      dc_domain();
       break;
     case HostRole::kNtpServer:
-      name = util::format("ntp%u.%s", d % 4, org_domain.c_str());
+      name << "ntp" << d % 4 << ".";
+      org_domain();
       break;
     case HostRole::kHomeHost: {
       static constexpr const char* kHome[] = {"home",   "cpe",  "customer", "dsl",
                                               "dynamic", "pool", "cable",    "fiber",
                                               "user",    "host"};
-      name = util::format("%s%u-%u-%u-%u.%s", kHome[hpick(h, std::size(kHome))], a, b, c, d,
-                          isp_domain.c_str());
+      name << pick(kHome) << a << "-" << b << "-" << c << "-" << d << ".";
+      isp_domain();
       break;
     }
     case HostRole::kMobileHost: {
       static constexpr const char* kMob[] = {"pool", "dynamic", "flets", "ap", "net"};
-      name = util::format("%s-%u-%u-%u-%u.mobile.%s", kMob[hpick(h, std::size(kMob))], a, b,
-                          c, d, isp_domain.c_str());
+      name << pick(kMob) << "-" << a << "-" << b << "-" << c << "-" << d << ".mobile.";
+      isp_domain();
       break;
     }
     case HostRole::kCorpHost: {
       // Desktop naming is idiosyncratic; most carry no keyword.
       static constexpr const char* kPc[] = {"pc", "desktop", "ws", "lab", "printer"};
-      name = util::format("%s-%u.%s", kPc[hpick(h, std::size(kPc))], d, org_domain.c_str());
+      name << pick(kPc) << "-" << d << ".";
+      org_domain();
       break;
     }
     case HostRole::kServer: {
       static constexpr const char* kSrv[] = {"srv", "app", "db", "vps", "node"};
-      name = util::format("%s%u-%u.%s", kSrv[hpick(h, std::size(kSrv))], c, d,
-                          dc_domain.c_str());
+      name << pick(kSrv) << c << "-" << d << ".";
+      dc_domain();
       break;
     }
     case HostRole::kCdnNode: {
       static constexpr const char* kCdn[] = {"akamai", "akamaitech", "edgecast",
                                              "cdnetworks", "llnwd"};
-      const char* provider = kCdn[hpick(h, std::size(kCdn))];
-      name = util::format("a%u-%u.deploy.%s.com", c, d, provider);
+      name << "a" << c << "-" << d << ".deploy." << pick(kCdn) << ".com";
       break;
     }
     case HostRole::kCloudAwsNode:
-      name = util::format("ec2-%u-%u-%u-%u.compute.amazonaws.com", a, b, c, d);
+      name << "ec2-" << a << "-" << b << "-" << c << "-" << d << ".compute.amazonaws.com";
       break;
     case HostRole::kCloudMsNode:
-      name = util::format("vm%u-%u.cloudapp.azure.com", c, d);
+      name << "vm" << c << "-" << d << ".cloudapp.azure.com";
       break;
     case HostRole::kGoogleNode:
-      name = util::format("rate-limited-proxy-%u-%u-%u-%u.google.com", a, b, c, d);
+      name << "rate-limited-proxy-" << a << "-" << b << "-" << c << "-" << d << ".google.com";
       break;
     case HostRole::kOpenResolver:
-      name = util::format("public%u.google.com", d);
+      name << "public" << d << ".google.com";
       break;
   }
 
-  if (auto parsed = dns::DnsName::parse(name)) {
+  if (auto parsed = dns::DnsName::parse(name.view())) {
     info.status = core::ResolveStatus::kOk;
     info.name = std::move(*parsed);
   } else {

@@ -76,6 +76,10 @@ class NamingModel final : public core::QuerierResolver {
 
  private:
   std::uint64_t mix(net::IPv4Addr addr, std::uint64_t salt) const noexcept;
+  /// role_of / has_reverse for an address whose site (or nullptr) the
+  /// caller already looked up.
+  HostRole role_in(const Site* site, net::IPv4Addr addr) const noexcept;
+  bool has_reverse_in(const Site* site, HostRole role, net::IPv4Addr addr) const noexcept;
 
   const AddressPlan& plan_;
   NamingConfig config_;

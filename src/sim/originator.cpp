@@ -80,13 +80,6 @@ std::uint16_t scan_port(util::Rng& rng) {
   return kPorts[rng.below(std::size(kPorts))];
 }
 
-netdb::Region region_of_country(netdb::CountryCode cc) {
-  for (const auto& info : netdb::world_countries()) {
-    if (info.code == cc) return info.region;
-  }
-  return netdb::Region::kNorthAmerica;
-}
-
 }  // namespace
 
 double weekly_rate_drift(const OriginatorSpec& spec, std::int64_t week) noexcept {

@@ -1,18 +1,12 @@
-// Performance-path invariants: the per-interval querier-classification
-// cache must resolve each unique querier exactly once per
-// extract_features() call, and the amortized (bucketed-expiry) dedup prune
+// Performance-path invariants: the amortized (bucketed-expiry) dedup prune
 // must keep window state bounded and byte-identical to a full-walk prune
 // under long skewed streams.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "core/querier_cache.hpp"
 #include "core/sensor.hpp"
 
 namespace dnsbs::core {
@@ -25,87 +19,6 @@ using util::SimTime;
 
 QueryRecord rec(std::int64_t secs, IPv4Addr querier, IPv4Addr originator) {
   return QueryRecord{SimTime::seconds(secs), querier, originator, RCode::kNoError};
-}
-
-/// Counts resolve() calls per querier; thread-safe because the cache build
-/// classifies unique queriers in parallel.
-class CountingResolver final : public QuerierResolver {
- public:
-  QuerierInfo resolve(IPv4Addr querier) const override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counts_[querier.value()];
-    }
-    QuerierInfo info;
-    info.status = querier.value() % 2 == 0 ? ResolveStatus::kNxDomain
-                                           : ResolveStatus::kUnreachable;
-    return info;
-  }
-
-  std::map<std::uint32_t, int> counts() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return counts_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  mutable std::map<std::uint32_t, int> counts_;
-};
-
-TEST(QuerierCache, ExtractFeaturesResolvesEachQuerierOnce) {
-  netdb::AsDb as_db;
-  netdb::GeoDb geo_db;
-  as_db.add(*net::Prefix::parse("10.0.0.0/8"), 1, "as");
-  geo_db.add(*net::Prefix::parse("10.0.0.0/8"), netdb::CountryCode('j', 'p'));
-
-  // 6 originators share a pool of 30 queriers; every originator is queried
-  // by every querier, so a per-originator tally without the cache would
-  // resolve 180 times.
-  std::vector<QueryRecord> records;
-  std::int64_t t = 0;
-  for (int o = 1; o <= 6; ++o) {
-    for (int q = 1; q <= 30; ++q) {
-      records.push_back(rec(t++, *IPv4Addr::parse("10.0.0." + std::to_string(q)),
-                            *IPv4Addr::parse("1.0.0." + std::to_string(o))));
-    }
-  }
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const CountingResolver resolver;
-    SensorConfig cfg;
-    cfg.min_queriers = 3;
-    cfg.threads = threads;
-    Sensor sensor(cfg, as_db, geo_db, resolver);
-    sensor.ingest_all(records);
-
-    const auto features = sensor.extract_features();
-    ASSERT_EQ(features.size(), 6u) << "threads=" << threads;
-
-    const auto counts = resolver.counts();
-    EXPECT_EQ(counts.size(), 30u) << "threads=" << threads;
-    for (const auto& [querier, count] : counts) {
-      EXPECT_EQ(count, 1) << "querier " << querier << " threads=" << threads;
-    }
-  }
-}
-
-TEST(QuerierCache, CacheHitsMatchDirectClassification) {
-  const CountingResolver resolver;
-  QuerierClassificationCache cache(resolver);
-
-  OriginatorAggregator agg;
-  for (int q = 1; q <= 10; ++q) {
-    agg.add(rec(q, *IPv4Addr::parse("10.0.0." + std::to_string(q)),
-                *IPv4Addr::parse("1.1.1.1")));
-  }
-  const auto interesting = agg.select_interesting(1, 0);
-  cache.build(interesting, 1);
-  EXPECT_EQ(cache.size(), 10u);
-
-  for (int q = 1; q <= 10; ++q) {
-    const IPv4Addr querier = *IPv4Addr::parse("10.0.0." + std::to_string(q));
-    EXPECT_EQ(cache.category(querier), classify_querier(resolver.resolve(querier)));
-  }
 }
 
 /// Reference deduplicator with the pre-optimization semantics: full-map

@@ -71,6 +71,7 @@ TEST(QnameMin, FinalAuthorityKeepsFullSignal) {
   sim::Authority final_auth(sim::AuthorityConfig{
       .name = "final",
       .level = sim::AuthorityLevel::kFinal,
+      .country = std::nullopt,
       .zone = net::Prefix(scanner, 24),
   });
   engine.add_authority(&final_auth);

@@ -1,11 +1,13 @@
 // Columnar + incremental feature extraction (core::FeatureEngine): the
 // incremental-vs-full-recompute oracle, SoA-vs-map equivalence for all
-// eight dynamic features, epoch-scratch reuse, carry-forward across
-// sensors and windows, and thread-count determinism of the
-// dnsbs.features.* counters.
+// eight dynamic features, epoch-scratch reuse, one resolve per querier on
+// a cold extract, carry-forward across sensors and windows, and
+// thread-count determinism of the dnsbs.features.* counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -58,6 +60,29 @@ class CyclingResolver final : public QuerierResolver {
     }
     return info;
   }
+};
+
+/// CyclingResolver that counts resolve() calls per querier; thread-safe
+/// because the engine resolves unseen queriers in parallel.
+class CountingResolver final : public QuerierResolver {
+ public:
+  QuerierInfo resolve(IPv4Addr querier) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++counts_[querier.value()];
+    }
+    return base_.resolve(querier);
+  }
+
+  std::map<std::uint32_t, int> counts() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return counts_;
+  }
+
+ private:
+  CyclingResolver base_;
+  mutable std::mutex mu_;
+  mutable std::map<std::uint32_t, int> counts_;
 };
 
 struct Dbs {
@@ -339,6 +364,70 @@ TEST(FeatureEngineCounters, ChurnAndNormalizerShiftsPartitionRows) {
 #endif
 }
 
+// 6 originators share a pool of 30 queriers; every originator is queried
+// by every querier, so resolving per membership would take 180 calls.
+std::vector<QueryRecord> shared_querier_records() {
+  std::vector<QueryRecord> records;
+  std::int64_t t = 0;
+  for (int o = 1; o <= 6; ++o) {
+    for (int q = 1; q <= 30; ++q) records.push_back(rec(t++, addr(10, 0, 0, q), addr(1, 0, 0, o)));
+  }
+  return records;
+}
+
+TEST(QuerierCache, ExtractFeaturesResolvesEachQuerierOnce) {
+  const Dbs dbs;
+  const std::vector<QueryRecord> records = shared_querier_records();
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const CountingResolver resolver;
+    const auto cache = std::make_shared<FeatureExtractionCache>();
+    SensorConfig cfg = small_config();
+    cfg.threads = threads;
+    Sensor sensor(cfg, dbs.as_db, dbs.geo_db, resolver);
+    sensor.set_feature_cache(cache);
+    sensor.ingest_all(records);
+    ASSERT_EQ(sensor.extract_features().size(), 6u) << "threads=" << threads;
+    auto counts = resolver.counts();
+    EXPECT_EQ(counts.size(), 30u) << "threads=" << threads;
+    for (const auto& [querier, count] : counts) {
+      EXPECT_EQ(count, 1) << "querier " << querier << " threads=" << threads;
+    }
+
+    // A second sensor sharing the interner meets no unseen querier.
+    Sensor again(cfg, dbs.as_db, dbs.geo_db, resolver);
+    again.set_feature_cache(cache);
+    again.ingest_all(records);
+    ASSERT_EQ(again.extract_features().size(), 6u) << "threads=" << threads;
+    EXPECT_EQ(resolver.counts(), counts) << "threads=" << threads;
+  }
+}
+
+TEST(QuerierCache, CacheHitsMatchDirectClassification) {
+  const Dbs dbs;
+  const std::vector<QueryRecord> records = shared_querier_records();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const CountingResolver resolver;
+    const auto cache = std::make_shared<FeatureExtractionCache>();
+    SensorConfig cfg = small_config();
+    cfg.threads = threads;
+    Sensor sensor(cfg, dbs.as_db, dbs.geo_db, resolver);
+    sensor.set_feature_cache(cache);
+    sensor.ingest_all(records);
+    ASSERT_EQ(sensor.extract_features().size(), 6u) << "threads=" << threads;
+
+    // Every interned category is the querier's direct resolve + classify.
+    ASSERT_EQ(cache->querier_count(), 30u);
+    for (int q = 1; q <= 30; ++q) {
+      const IPv4Addr querier = addr(10, 0, 0, q);
+      const std::uint32_t qid = cache->id_of(querier);
+      ASSERT_NE(qid, FeatureExtractionCache::kNoId) << querier.to_string();
+      EXPECT_EQ(cache->category(qid), classify_querier(resolver.resolve(querier)))
+          << querier.to_string();
+    }
+  }
+}
+
 TEST(FeatureEngineCarryForward, SharedCacheReusesRowsAcrossSensors) {
   const Dbs dbs;
   const CyclingResolver resolver;
@@ -366,6 +455,34 @@ TEST(FeatureEngineCarryForward, SharedCacheReusesRowsAcrossSensors) {
   Sensor independent(small_config(), dbs.as_db, dbs.geo_db, resolver);
   independent.ingest_all(records);
   expect_rows_bitwise_equal(rows_second, independent.extract_features(), "fresh cache");
+}
+
+TEST(FeatureEngineCarryForward, InterleavedSensorsRecheckForeignRows) {
+  // Two sensors share one cache and alternate extracts.  B's extract
+  // stamps every row with B's token, so A's next extract (one originator
+  // churned) meets rows it scanned earlier but no longer owns: it must
+  // flatten them again, compare, and still match a fresh sensor.
+  const Dbs dbs;
+  const CyclingResolver resolver;
+  const auto cache = std::make_shared<FeatureExtractionCache>();
+  std::vector<QueryRecord> records = wave(0);
+  for (const auto& r : wave(1)) records.push_back(r);
+
+  Sensor a(small_config(), dbs.as_db, dbs.geo_db, resolver);
+  Sensor b(small_config(), dbs.as_db, dbs.geo_db, resolver);
+  a.set_feature_cache(cache);
+  b.set_feature_cache(cache);
+  a.ingest_all(records);
+  b.ingest_all(records);
+  a.extract_features();
+  b.extract_features();
+  a.ingest_all(wave(2));
+  const auto rows = a.extract_features();
+
+  Sensor fresh(small_config(), dbs.as_db, dbs.geo_db, resolver);
+  fresh.ingest_all(records);
+  fresh.ingest_all(wave(2));
+  expect_rows_bitwise_equal(rows, fresh.extract_features(), "interleaved");
 }
 
 TEST(FeatureEngineCarryForward, PipelineMatchesIndependentWindows) {

@@ -162,7 +162,9 @@ TEST(Curator, LabelsDetectedOriginatorsWithCaps) {
   // Malicious labels need evidence: an empty darknet means scan examples
   // require blacklist listings.
   for (const auto& [addr, cls] : gt.labels()) {
-    if (core::is_malicious(cls)) EXPECT_TRUE(bl.listed(addr));
+    if (core::is_malicious(cls)) {
+      EXPECT_TRUE(bl.listed(addr));
+    }
   }
 }
 

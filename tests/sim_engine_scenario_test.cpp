@@ -192,6 +192,11 @@ struct PresetCase {
   ScenarioConfig (*make)(std::uint64_t, double);
 };
 
+// Print the preset name, not the struct's raw bytes: those are pointer
+// values that move with address-space randomisation, and gtest puts the
+// printed parameter into the listed test name.
+void PrintTo(const PresetCase& c, std::ostream* os) { *os << c.name; }
+
 class PresetTest : public ::testing::TestWithParam<PresetCase> {};
 
 TEST_P(PresetTest, BuildsAndHasAuthorities) {

@@ -74,7 +74,9 @@ TEST(FlatMap, RandomOpsMatchUnorderedMapOracle) {
           const auto* slot = map.find(key);
           const auto it = oracle.find(key);
           ASSERT_EQ(slot != nullptr, it != oracle.end());
-          if (slot != nullptr) EXPECT_EQ(slot->second, it->second);
+          if (slot != nullptr) {
+            EXPECT_EQ(slot->second, it->second);
+          }
           break;
         }
       }
@@ -123,7 +125,9 @@ TEST(FlatMap, EraseAllViaBackwardShiftLeavesEmptyMap) {
     EXPECT_EQ(map.contains(keys[i]), i % 2 == 1);
   }
   for (std::size_t i = keys.size(); i-- > 0;) {
-    if (i % 2 == 1) EXPECT_TRUE(map.erase(keys[i]));
+    if (i % 2 == 1) {
+      EXPECT_TRUE(map.erase(keys[i]));
+    }
   }
   EXPECT_TRUE(map.empty());
   EXPECT_EQ(map.begin(), map.end());
