@@ -26,13 +26,12 @@
 // Times are best-of --repeat (default 3) so scheduler noise shrinks the
 // committed baseline instead of inflating it.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "common.hpp"
+#include "gate.hpp"
 #include "ml/crossval.hpp"
 #include "ml/forest.hpp"
 #include "ml/svm.hpp"
@@ -42,20 +41,6 @@
 
 namespace dnsbs::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/// Extracts `"key": <number>` from a JSON text (flat schema, no escapes).
-double json_number(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return 0.0;
-  return std::atof(text.c_str() + pos + needle.size());
-}
 
 /// Seeded blob dataset: `classes` random centers in [0,1]^features, rows
 /// drawn center + N(0, spread).  Even-indexed columns are quantized to a
@@ -94,18 +79,6 @@ struct Results {
   double svm_predict_rows_per_s = 0;
   double crossval_reps_per_s = 0;
 };
-
-template <typename Fn>
-double best_of(int repeat, std::size_t items, Fn&& fn) {
-  double best = 0.0;
-  for (int r = 0; r < repeat; ++r) {
-    const auto t0 = Clock::now();
-    fn();
-    const double rate = static_cast<double>(items) / seconds_since(t0);
-    best = std::max(best, rate);
-  }
-  return best;
-}
 
 int run(int argc, char** argv) {
   const bool smoke = arg_flag(argc, argv, "--smoke");
@@ -203,10 +176,7 @@ int run(int argc, char** argv) {
   std::printf("crossval           %.2f reps/s (%zu reps)\n", res.crossval_reps_per_s,
               cv.repetitions);
 
-  const struct {
-    const char* key;
-    double live;
-  } axes[] = {
+  const Axis axes[] = {
       {"cart_fit_rows_per_s", res.cart_fit_rows_per_s},
       {"rf_fit_rows_per_s", res.rf_fit_rows_per_s},
       {"rf_predict_rows_per_s", res.rf_predict_rows_per_s},
@@ -233,51 +203,12 @@ int run(int argc, char** argv) {
        // Registry snapshot: the committed baseline doubles as the fixture
        // proving the dnsbs.ml.* counters move (fits, trees, kernel cache).
        << "  \"metrics\": " << util::metrics_snapshot().to_json();
-    if (!baseline_path.empty()) {
-      std::ifstream bis(baseline_path);
-      std::stringstream bbuf;
-      bbuf << bis.rdbuf();
-      const std::string base = bbuf.str();
-      for (const auto& axis : axes) {
-        const double before = json_number(base, axis.key);
-        os << ",\n  \"baseline_" << axis.key << "\": " << before;
-        if (before > 0.0) {
-          os << ",\n  \"speedup_" << axis.key << "\": " << axis.live / before;
-          std::printf("speedup %-24s %.2fx (%.0f -> %.0f)\n", axis.key, axis.live / before,
-                      before, axis.live);
-        }
-      }
-    }
+    if (!baseline_path.empty()) append_baseline(os, baseline_path, axes);
     os << "\n}\n";
     std::printf("\nwrote %s\n", json_path.c_str());
   }
 
-  if (!check_path.empty()) {
-    std::ifstream is(check_path);
-    if (!is) {
-      std::fprintf(stderr, "check: cannot read %s\n", check_path.c_str());
-      return 1;
-    }
-    std::stringstream buffer;
-    buffer << is.rdbuf();
-    const std::string committed = buffer.str();
-    // >10% below the committed number on any throughput axis fails the gate.
-    bool ok = true;
-    for (const auto& axis : axes) {
-      const double want = json_number(committed, axis.key);
-      if (want <= 0.0) continue;
-      const double ratio = axis.live / want;
-      std::printf("check %-24s %12.0f vs committed %12.0f  (%.2fx)%s\n", axis.key, axis.live,
-                  want, ratio, ratio < 0.9 ? "  REGRESSION" : "");
-      if (ratio < 0.9) ok = false;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "\nml perf check FAILED: >10%% regression vs %s\n",
-                   check_path.c_str());
-      return 1;
-    }
-    std::printf("\nml perf check passed (within 10%% of %s)\n", check_path.c_str());
-  }
+  if (!check_path.empty()) return check_axes(check_path, axes);
   return 0;
 }
 

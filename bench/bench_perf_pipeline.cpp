@@ -67,7 +67,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -82,6 +81,7 @@
 #include "core/federation.hpp"
 #include "core/sensor.hpp"
 #include "dns/query_log.hpp"
+#include "gate.hpp"
 #include "sim/scenario.hpp"
 #include "util/binio.hpp"
 #include "util/jobs.hpp"
@@ -90,12 +90,6 @@
 
 namespace dnsbs::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /// Peak resident set in kB from /proc/self/status (0 where unsupported).
 long peak_rss_kb() {
@@ -110,14 +104,6 @@ long peak_rss_kb() {
   return 0;
 }
 
-/// Extracts `"key": <number>` from a JSON text (flat schema, no escapes).
-double json_number(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return 0.0;
-  return std::atof(text.c_str() + pos + needle.size());
-}
-
 struct Results {
   std::size_t records = 0;
   std::size_t lines_bytes = 0;
@@ -129,73 +115,6 @@ struct Results {
   double features_per_s = 0;
   double end_to_end_records_per_s = 0;
 };
-
-template <typename Fn>
-double best_of(int repeat, std::size_t items, Fn&& fn) {
-  double best = 0.0;
-  for (int r = 0; r < repeat; ++r) {
-    const auto t0 = Clock::now();
-    fn();
-    const double rate = static_cast<double>(items) / seconds_since(t0);
-    best = std::max(best, rate);
-  }
-  return best;
-}
-
-/// One throughput axis: a JSON key and the freshly measured rate.
-struct Axis {
-  const char* key;
-  double live;
-};
-
-/// --baseline: appends "baseline_<key>"/"speedup_<key>" entries for each
-/// axis to an open JSON object stream (caller closes the object).
-void append_baseline(std::ofstream& os, const std::string& baseline_path,
-                     std::span<const Axis> axes) {
-  std::ifstream bis(baseline_path);
-  std::stringstream bbuf;
-  bbuf << bis.rdbuf();
-  const std::string base = bbuf.str();
-  for (const auto& axis : axes) {
-    const double before = json_number(base, axis.key);
-    os << ",\n  \"baseline_" << axis.key << "\": " << before;
-    if (before > 0.0) {
-      os << ",\n  \"speedup_" << axis.key << "\": " << axis.live / before;
-      std::printf("speedup %-26s %.2fx (%.0f -> %.0f)\n", axis.key, axis.live / before,
-                  before, axis.live);
-    }
-  }
-}
-
-/// --check: >10% below the committed number on any axis fails the gate.
-/// Axes missing from the committed file (or <= 0) are skipped, so new
-/// axes can be introduced before their baseline is refreshed.
-int check_axes(const std::string& check_path, std::span<const Axis> axes) {
-  std::ifstream is(check_path);
-  if (!is) {
-    std::fprintf(stderr, "check: cannot read %s\n", check_path.c_str());
-    return 1;
-  }
-  std::stringstream buffer;
-  buffer << is.rdbuf();
-  const std::string committed = buffer.str();
-  bool ok = true;
-  for (const auto& axis : axes) {
-    const double want = json_number(committed, axis.key);
-    if (want <= 0.0) continue;
-    const double ratio = axis.live / want;
-    std::printf("check %-26s %12.0f vs committed %12.0f  (%.2fx)%s\n", axis.key,
-                axis.live, want, ratio, ratio < 0.9 ? "  REGRESSION" : "");
-    if (ratio < 0.9) ok = false;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "\nperf check FAILED: >10%% regression vs %s\n",
-                 check_path.c_str());
-    return 1;
-  }
-  std::printf("\nperf check passed (within 10%% of %s)\n", check_path.c_str());
-  return 0;
-}
 
 /// Stable per-address resolver for the --features scenario: the querier
 /// category cycles with the low octet, and the four QuerierInfo values are

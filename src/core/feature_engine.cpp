@@ -248,8 +248,8 @@ FeatureVector FeatureEngine::compute_row(const FeatureExtractionCache::RowEntry&
 
   const double queriers = static_cast<double>(k);
   // Integer tallies divided once: identical to summing 1.0 per member and
-  // dividing (both are exact below 2^53), so rows match the reference
-  // compute_static_features path bit-for-bit.
+  // dividing (both are exact below 2^53), so rows match the per-membership
+  // reference in tests/feature_reference.hpp bit-for-bit.
   for (std::size_t c = 0; c < kQuerierCategoryCount; ++c) {
     fv.statics[c] = static_cast<double>(category_counts[c]) / queriers;
   }

@@ -56,6 +56,8 @@
 
 #include "core/aggregate.hpp"
 #include "core/feature_vector.hpp"
+#include "netdb/as_db.hpp"
+#include "netdb/geo_db.hpp"
 
 namespace dnsbs::util {
 class BinaryReader;

@@ -10,6 +10,12 @@ std::vector<double> FeatureVector::row() const {
   return out;
 }
 
+std::array<std::string_view, kDynamicFeatureCount> dynamic_feature_names() noexcept {
+  return {"queries_per_querier", "persistence",       "local_entropy",
+          "global_entropy",      "unique_as",         "unique_cc",
+          "queriers_per_cc",     "queriers_per_as"};
+}
+
 const std::vector<std::string>& feature_names() {
   static const std::vector<std::string> kNames = [] {
     std::vector<std::string> names;
@@ -32,19 +38,5 @@ const std::vector<std::string>& app_class_names() {
 }
 
 ml::Dataset make_dataset() { return ml::Dataset(feature_names(), app_class_names()); }
-
-StaticFeatures compute_static_features(const OriginatorAggregate& agg,
-                                       const QuerierResolver& resolver) {
-  StaticFeatures f{};
-  if (agg.querier_queries.empty()) return f;
-  // Category tallies are small integers, so this sum is exact and the
-  // result is independent of querier iteration order.
-  for (const auto& [querier, count] : agg.querier_queries) {
-    f[static_cast<std::size_t>(classify_querier(resolver.resolve(querier)))] += 1.0;
-  }
-  const double total = static_cast<double>(agg.unique_queriers());
-  for (double& v : f) v /= total;
-  return f;
-}
 
 }  // namespace dnsbs::core

@@ -36,10 +36,4 @@ const std::vector<std::string>& app_class_names();
 /// An empty dataset with the canonical schema.
 ml::Dataset make_dataset();
 
-/// Computes static features from an aggregate via a resolver, resolving
-/// every querier afresh (the reference for FeatureEngine's interned
-/// categories).
-StaticFeatures compute_static_features(const OriginatorAggregate& agg,
-                                       const QuerierResolver& resolver);
-
 }  // namespace dnsbs::core

@@ -8,6 +8,7 @@
 
 #include "util/log.hpp"
 #include "util/metrics.hpp"
+#include "util/strings.hpp"
 
 namespace dnsbs::util {
 namespace {
@@ -45,9 +46,10 @@ struct PoolMarkGuard {
 
 std::size_t env_thread_count() noexcept {
   if (const char* env = std::getenv("DNSBS_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
+    if (const auto n = parse_thread_count(env)) return *n;
+    log_warn("threads", format("ignoring DNSBS_THREADS='%s': not a whole number in 1..%zu; "
+                               "using the hardware thread count",
+                               env, kMaxThreadCount));
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
@@ -56,6 +58,12 @@ std::size_t env_thread_count() noexcept {
 std::atomic<std::size_t> g_thread_override{0};
 
 }  // namespace
+
+std::optional<std::size_t> parse_thread_count(std::string_view text) noexcept {
+  std::uint64_t n = 0;
+  if (!parse_u64(text, n) || n == 0 || n > kMaxThreadCount) return std::nullopt;
+  return static_cast<std::size_t>(n);
+}
 
 std::size_t configured_thread_count() noexcept {
   const std::size_t override = g_thread_override.load(std::memory_order_relaxed);

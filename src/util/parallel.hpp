@@ -32,7 +32,9 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <span>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -41,9 +43,17 @@
 
 namespace dnsbs::util {
 
+/// Largest DNSBS_THREADS value accepted.
+inline constexpr std::size_t kMaxThreadCount = 1024;
+
+/// Parses a DNSBS_THREADS value: a whole decimal number in
+/// 1..kMaxThreadCount with nothing around it, else nullopt.
+std::optional<std::size_t> parse_thread_count(std::string_view text) noexcept;
+
 /// Effective thread count for parallel sections: the set_thread_count()
 /// override if present, else DNSBS_THREADS, else hardware concurrency.
-/// Always >= 1.
+/// A DNSBS_THREADS value parse_thread_count() rejects is logged once as a
+/// WARN and ignored.  Always >= 1.
 std::size_t configured_thread_count() noexcept;
 
 /// Programmatic override (benches, tests).  0 restores the default

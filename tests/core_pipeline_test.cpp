@@ -121,9 +121,13 @@ TEST(StaticFeatureExtraction, FractionsSumToOne) {
   for (int q = 0; q < 8; ++q) {
     agg.add(rec(q, ("10.0.0." + std::to_string(q)).c_str(), "1.1.1.1"));
   }
+  const netdb::AsDb as_db;
+  const netdb::GeoDb geo_db;
   const StubResolver resolver;
-  const auto f =
-      compute_static_features(agg.aggregates().at(*IPv4Addr::parse("1.1.1.1")), resolver);
+  FeatureEngine engine(as_db, geo_db, resolver, std::make_shared<FeatureExtractionCache>());
+  const auto rows = engine.extract(agg, agg.select_interesting(1, 0), 1, nullptr);
+  ASSERT_EQ(rows.size(), 1u);
+  const StaticFeatures& f = rows[0].statics;
   double sum = 0;
   for (const double v : f) sum += v;
   EXPECT_NEAR(sum, 1.0, 1e-12);
@@ -140,6 +144,7 @@ TEST(DynamicFeatureExtraction, EntropyAndNormalizers) {
   as_db.add(*net::Prefix::parse("10.1.0.0/16"), 200, "as-b");
   geo_db.add(*net::Prefix::parse("10.0.0.0/16"), netdb::CountryCode('j', 'p'));
   geo_db.add(*net::Prefix::parse("10.1.0.0/16"), netdb::CountryCode('u', 's'));
+  const StubResolver resolver;
 
   OriginatorAggregator agg;
   // Originator with queriers spread over two /24s, two ASes, two countries.
@@ -147,11 +152,13 @@ TEST(DynamicFeatureExtraction, EntropyAndNormalizers) {
   agg.add(rec(1, "10.0.0.1", "1.1.1.1"));  // repeat query, same querier
   agg.add(rec(2, "10.1.7.1", "1.1.1.1"));
 
-  const DynamicFeatureExtractor extractor(as_db, geo_db, agg);
-  EXPECT_EQ(extractor.interval_as_count(), 2u);
-  EXPECT_EQ(extractor.interval_country_count(), 2u);
+  FeatureEngine engine(as_db, geo_db, resolver, std::make_shared<FeatureExtractionCache>());
+  const auto rows = engine.extract(agg, agg.select_interesting(1, 0), 1, nullptr);
+  EXPECT_EQ(engine.interval_as_count(), 2u);
+  EXPECT_EQ(engine.interval_cc_count(), 2u);
 
-  const auto f = extractor.extract(agg.aggregates().at(*IPv4Addr::parse("1.1.1.1")));
+  ASSERT_EQ(rows.size(), 1u);
+  const DynamicFeatures& f = rows[0].dynamics;
   EXPECT_NEAR(f[static_cast<std::size_t>(DynamicFeature::kQueriesPerQuerier)], 1.5, 1e-12);
   EXPECT_NEAR(f[static_cast<std::size_t>(DynamicFeature::kPersistence)], 1.0, 1e-12);
   // Two queriers in two distinct /24s and /8s: maximal normalized entropy.

@@ -1,6 +1,8 @@
 // Columnar + incremental feature extraction (core::FeatureEngine): the
-// incremental-vs-full-recompute oracle, SoA-vs-map equivalence for all
-// eight dynamic features, epoch-scratch reuse, one resolve per querier on
+// incremental-vs-full-recompute oracle, bitwise equivalence with the
+// reference extractors in feature_reference.hpp (statics, all eight
+// dynamic features, the interval AS/country normalizers — cold and grown
+// incrementally), epoch-scratch reuse, one resolve per querier on
 // a cold extract, carry-forward across sensors and windows, and
 // thread-count determinism of the dnsbs.features.* counters.
 #include <gtest/gtest.h>
@@ -9,15 +11,13 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/pipeline.hpp"
 #include "core/feature_engine.hpp"
 #include "core/sensor.hpp"
+#include "feature_reference.hpp"
 #include "util/parallel.hpp"
-#include "util/stats.hpp"
 
 namespace dnsbs::core {
 namespace {
@@ -126,6 +126,16 @@ std::vector<QueryRecord> wave(int which) {
   return records;
 }
 
+/// Queriers outside every AS and geo prefix of Dbs, joining two wave-0
+/// originators: they count toward neither interval normalizer.
+std::vector<QueryRecord> unmapped_queriers() {
+  std::vector<QueryRecord> records;
+  for (int j = 0; j < 3; ++j) {
+    records.push_back(rec(2200 + j, addr(10, 5, 0, j + 1), addr(1, 0, 0, 2 + j % 2)));
+  }
+  return records;
+}
+
 void expect_rows_bitwise_equal(const std::vector<FeatureVector>& got,
                                const std::vector<FeatureVector>& want,
                                const std::string& context) {
@@ -174,58 +184,6 @@ TEST(FeatureEngineOracle, IncrementalMatchesFullRecomputeAcrossWaves) {
   }
 }
 
-/// Map-based reference for the eight dynamic features, accumulating bucket
-/// counts in first-touch order — the order the columnar pass uses — so the
-/// comparison is bitwise, not approximate.
-DynamicFeatures reference_dynamics(const OriginatorAggregate& agg, const netdb::AsDb& as_db,
-                                   const netdb::GeoDb& geo_db, std::size_t norm_periods,
-                                   std::size_t norm_as, std::size_t norm_cc) {
-  DynamicFeatures f{};
-  const std::size_t k = agg.unique_queriers();
-  if (k == 0) return f;
-  std::vector<std::size_t> c24, c8;
-  std::unordered_map<std::uint32_t, std::size_t> pos24, pos8;
-  std::unordered_set<std::uint32_t> ases;
-  std::unordered_set<std::uint16_t> countries;
-  for (const auto& [querier, count] : agg.querier_queries) {
-    auto [it24, new24] = pos24.try_emplace(querier.slash24(), c24.size());
-    if (new24) {
-      c24.push_back(1);
-    } else {
-      ++c24[it24->second];
-    }
-    auto [it8, new8] = pos8.try_emplace(querier.slash8(), c8.size());
-    if (new8) {
-      c8.push_back(1);
-    } else {
-      ++c8[it8->second];
-    }
-    if (const auto asn = as_db.lookup(querier)) ases.insert(*asn);
-    if (const auto cc = geo_db.lookup(querier)) countries.insert(cc->packed());
-  }
-  const double queriers = static_cast<double>(k);
-  f[static_cast<std::size_t>(DynamicFeature::kQueriesPerQuerier)] =
-      static_cast<double>(agg.total_queries) / queriers;
-  f[static_cast<std::size_t>(DynamicFeature::kPersistence)] =
-      norm_periods == 0 ? 0.0
-                        : static_cast<double>(agg.periods.size()) /
-                              static_cast<double>(norm_periods);
-  f[static_cast<std::size_t>(DynamicFeature::kLocalEntropy)] =
-      util::normalized_entropy(std::span<const std::size_t>(c24));
-  f[static_cast<std::size_t>(DynamicFeature::kGlobalEntropy)] =
-      util::normalized_entropy(std::span<const std::size_t>(c8));
-  f[static_cast<std::size_t>(DynamicFeature::kUniqueAs)] =
-      norm_as == 0 ? 0.0 : static_cast<double>(ases.size()) / static_cast<double>(norm_as);
-  f[static_cast<std::size_t>(DynamicFeature::kUniqueCountries)] =
-      norm_cc == 0 ? 0.0
-                   : static_cast<double>(countries.size()) / static_cast<double>(norm_cc);
-  f[static_cast<std::size_t>(DynamicFeature::kQueriersPerCountry)] =
-      static_cast<double>(countries.size()) / queriers;
-  f[static_cast<std::size_t>(DynamicFeature::kQueriersPerAs)] =
-      static_cast<double>(ases.size()) / queriers;
-  return f;
-}
-
 TEST(FeatureEngineEquivalence, SoAColumnsMatchMapReference) {
   const Dbs dbs;
   const CyclingResolver resolver;
@@ -234,6 +192,7 @@ TEST(FeatureEngineEquivalence, SoAColumnsMatchMapReference) {
   for (int w = 0; w < 3; ++w) {
     for (const auto& r : wave(w)) agg.add(r);
   }
+  for (const auto& r : unmapped_queriers()) agg.add(r);
   const auto interesting = agg.select_interesting(3, 0);
   ASSERT_FALSE(interesting.empty());
 
@@ -245,32 +204,51 @@ TEST(FeatureEngineEquivalence, SoAColumnsMatchMapReference) {
   EXPECT_EQ(stats.rows_recomputed, rows.size());
   EXPECT_EQ(stats.rows_reused, 0u);
 
-  // Reference extractor for the legacy (map-churn) implementation, for the
-  // within-tolerance comparison below.
-  const DynamicFeatureExtractor legacy(dbs.as_db, dbs.geo_db, agg);
-  EXPECT_EQ(engine.interval_as_count(), legacy.interval_as_count());
-  EXPECT_EQ(engine.interval_cc_count(), legacy.interval_country_count());
+  // The interval normalizers, counted independently of the engine's
+  // interner and seen-sets.
+  const IntervalCounts counts = reference_interval_counts(agg, dbs.as_db, dbs.geo_db);
+  EXPECT_EQ(counts.ases, 4u);
+  EXPECT_EQ(counts.countries, 4u);
+  EXPECT_EQ(engine.interval_as_count(), counts.ases);
+  EXPECT_EQ(engine.interval_cc_count(), counts.countries);
 
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const OriginatorAggregate& a = *interesting[i];
-    // Statics: bitwise against the per-aggregate resolver path.
+    // Statics: bitwise against the per-membership resolver path.
     const StaticFeatures statics = compute_static_features(a, resolver);
     for (std::size_t c = 0; c < kQuerierCategoryCount; ++c) {
       EXPECT_EQ(rows[i].statics[c], statics[c]) << "row " << i << " static " << c;
     }
-    // Dynamics: bitwise against the first-touch-order map reference...
-    const DynamicFeatures want =
-        reference_dynamics(a, dbs.as_db, dbs.geo_db, agg.total_periods(),
-                           engine.interval_as_count(), engine.interval_cc_count());
+    // Dynamics: bitwise against the first-touch-order map reference.
+    const DynamicFeatures want = reference_dynamics(a, dbs.as_db, dbs.geo_db,
+                                                    agg.total_periods(), counts.ases,
+                                                    counts.countries);
     for (std::size_t d = 0; d < kDynamicFeatureCount; ++d) {
       EXPECT_EQ(rows[i].dynamics[d], want[d]) << "row " << i << " dynamic " << d;
     }
-    // ...and within float tolerance of the legacy extractor (whose entropy
-    // sums in flat-map slot order — same terms, different order).
-    const DynamicFeatures old = legacy.extract(a);
-    for (std::size_t d = 0; d < kDynamicFeatureCount; ++d) {
-      EXPECT_NEAR(rows[i].dynamics[d], old[d], 1e-12) << "row " << i << " dynamic " << d;
-    }
+  }
+}
+
+TEST(FeatureEngineEquivalence, IncrementalNormalizersMatchReference) {
+  const Dbs dbs;
+  const CyclingResolver resolver;
+
+  // One engine over a growing interval: its seen-sets grow only from the
+  // aggregates each extract finds dirty, and must still equal a fresh
+  // count over the whole interval after every wave.
+  FeatureEngine engine(dbs.as_db, dbs.geo_db, resolver,
+                       std::make_shared<FeatureExtractionCache>());
+  // Dbs gives each /16 one AS and one country, so the counts agree.
+  OriginatorAggregator agg;
+  const std::size_t want[] = {3, 4, 4, 4};
+  for (int w = 0; w < 4; ++w) {
+    for (const auto& r : w < 3 ? wave(w) : unmapped_queriers()) agg.add(r);
+    (void)engine.extract(agg, agg.select_interesting(3, 0), 1, nullptr);
+    const IntervalCounts counts = reference_interval_counts(agg, dbs.as_db, dbs.geo_db);
+    EXPECT_EQ(counts.ases, want[w]) << "wave " << w;
+    EXPECT_EQ(counts.countries, want[w]) << "wave " << w;
+    EXPECT_EQ(engine.interval_as_count(), counts.ases) << "wave " << w;
+    EXPECT_EQ(engine.interval_cc_count(), counts.countries) << "wave " << w;
   }
 }
 

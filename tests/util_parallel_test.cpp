@@ -6,6 +6,7 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -24,6 +25,16 @@ TEST(ThreadCount, OverrideAndRestore) {
   EXPECT_EQ(configured_thread_count(), 3u);
   set_thread_count(0);
   EXPECT_GE(configured_thread_count(), 1u);
+}
+
+TEST(ThreadCount, ParsesOnlyWholeNumbersInRange) {
+  // Parsing only: no pool is built from any of these values.
+  for (const char* bad : {"", "abc", "12x", "0", "-3", "1025", "99999999999999999999"}) {
+    EXPECT_EQ(parse_thread_count(bad), std::nullopt) << '"' << bad << '"';
+  }
+  EXPECT_EQ(parse_thread_count("1"), std::optional<std::size_t>(1));
+  EXPECT_EQ(parse_thread_count("4"), std::optional<std::size_t>(4));
+  EXPECT_EQ(parse_thread_count("1024"), std::optional<std::size_t>(1024));
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
