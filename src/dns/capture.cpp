@@ -1,6 +1,7 @@
 #include "dns/capture.hpp"
 
 #include "dns/reverse.hpp"
+#include "dns/wire.hpp"
 #include "util/metrics.hpp"
 
 namespace dnsbs::dns {
@@ -24,31 +25,32 @@ std::optional<QueryRecord> record_from_packet(std::span<const std::uint8_t> payl
                                               CaptureStats& stats) {
   ++stats.packets;
   g_packets.inc();
-  const auto message = decode(payload.data(), payload.size());
-  if (!message) {
+  // One validating walk, nothing allocated: the buckets are decode()'s,
+  // read from the header bits and the first question's label views.
+  QueryScan scan;
+  if (!scan_query(payload.data(), payload.size(), scan)) {
     ++stats.malformed;
     g_malformed.inc();
     return std::nullopt;
   }
-  if (message->is_response) {
+  if (scan.is_response) {
     ++stats.responses;
     g_responses.inc();
     return std::nullopt;
   }
-  if (message->opcode != 0 || message->questions.size() != 1) {
+  if (scan.opcode != 0 || scan.qdcount != 1) {
     // Decoded fine; the sensor's policy (plain QUERY, exactly one
     // question) is what rejects it — not corruption.
     ++stats.rejected_query;
     g_rejected.inc();
     return std::nullopt;
   }
-  const Question& q = message->questions.front();
-  if (q.qtype != QType::kPTR || q.qclass != QClass::kIN) {
+  if (scan.qtype != QType::kPTR || scan.qclass != QClass::kIN) {
     ++stats.non_ptr;
     g_non_ptr.inc();
     return std::nullopt;
   }
-  const auto originator = address_from_reverse(q.name);
+  const auto originator = address_from_reverse(scan.qname);
   if (!originator) {
     ++stats.non_reverse_name;
     g_non_reverse.inc();

@@ -34,6 +34,13 @@ DnsName DnsName::from_labels(std::vector<std::string> labels) {
   return name;
 }
 
+DnsName NameView::to_name() const {
+  std::vector<std::string> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) out.emplace_back(label(i));
+  return DnsName::from_labels(std::move(out));
+}
+
 std::optional<DnsName> DnsName::parse(std::string_view text) {
   if (text.empty()) return std::nullopt;
   if (text == ".") return DnsName{};

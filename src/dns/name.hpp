@@ -8,6 +8,7 @@
 
 #include <compare>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -63,6 +64,28 @@ class DnsName {
 
  private:
   std::vector<std::string> labels_;  // stored lowercase
+};
+
+/// A name's labels as views into the buffer it was decoded from: leftmost
+/// first, letter case as on the wire, valid only while that buffer is.
+/// Fixed capacity, no allocation: a name within the 255-octet wire cap
+/// has at most 127 labels (each costs at least two octets, plus the root
+/// byte).  Only labels [0, count) are ever set or read.
+struct NameView {
+  static constexpr std::size_t kMaxLabels = 127;
+  struct Label {
+    const char* data;
+    std::uint8_t size;
+  };
+
+  std::size_t count = 0;
+  Label labels[kMaxLabels];
+
+  std::string_view label(std::size_t i) const noexcept {
+    return {labels[i].data, labels[i].size};
+  }
+  /// The owning (lowercased) name.
+  DnsName to_name() const;
 };
 
 }  // namespace dnsbs::dns

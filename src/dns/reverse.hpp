@@ -33,6 +33,11 @@ DnsName reverse_name(net::IPv4Addr addr);
 /// not of the exact d.c.b.a.in-addr.arpa form.
 std::optional<net::IPv4Addr> address_from_reverse(const DnsName& qname);
 
+/// The same over a name read straight from a packet: "in-addr" and "arpa"
+/// match in any letter case, and each octet label is 1-3 decimal digits
+/// of value at most 255.
+std::optional<net::IPv4Addr> address_from_reverse(const NameView& qname);
+
 /// True if `name` is underneath in-addr.arpa at all.
 bool is_reverse_name(const DnsName& name);
 

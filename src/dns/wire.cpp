@@ -157,11 +157,6 @@ class Decoder {
  public:
   Decoder(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
 
-  bool u8(std::uint8_t& v) {
-    if (pos_ + 1 > size_) return false;
-    v = data_[pos_++];
-    return true;
-  }
   bool u16(std::uint16_t& v) {
     if (pos_ + 2 > size_) return false;
     v = static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
@@ -176,15 +171,12 @@ class Decoder {
   }
 
   std::size_t pos() const noexcept { return pos_; }
-  bool seek(std::size_t p) {
-    if (p > size_) return false;
-    pos_ = p;
-    return true;
-  }
 
-  /// Decodes a possibly-compressed name starting at the cursor.
-  bool name(DnsName& out) {
-    std::vector<std::string> labels;
+  /// Reads a possibly-compressed name starting at the cursor into label
+  /// views of the packet.  Pointers count toward a 64-jump limit and must
+  /// point backwards; reserved label types are rejected.
+  bool name(NameView& out) {
+    std::size_t count = 0;  // a local, not out.count: the label stores may alias it
     std::size_t cursor = pos_;
     std::size_t jumps = 0;
     bool jumped = false;
@@ -212,24 +204,23 @@ class Decoder {
       if (cursor + len > size_) return false;
       // RFC 1035 §2.3.4 total-name cap; chasing pointers must not let an
       // adversarially-compressed packet expand past what any legal name
-      // occupies on the wire.
+      // occupies on the wire.  It also bounds the label count by
+      // NameView::kMaxLabels.
       wire_len += 1 + static_cast<std::size_t>(len);
       if (wire_len > kMaxNameWire) return false;
-      labels.emplace_back(reinterpret_cast<const char*>(data_ + cursor), len);
+      out.labels[count++] = {reinterpret_cast<const char*>(data_ + cursor), len};
       cursor += len;
     }
     pos_ = jumped ? after_first_pointer : cursor;
-    out = DnsName::from_labels(std::move(labels));
+    out.count = count;
     return true;
   }
 
-  /// Reads `n` raw bytes.  Bounds are checked before any allocation, so a
-  /// claimed length the packet does not actually hold can never drive a
-  /// speculative multi-kilobyte allocation.
-  bool bytes(std::size_t n, std::vector<std::uint8_t>& out) {
+  /// Skips `n` raw bytes; false when the packet does not hold them.
+  /// `start`, when non-null, receives where they begin.
+  bool skip(std::size_t n, const std::uint8_t** start = nullptr) {
     if (n > size_ - pos_) return false;
-    out.reserve(n);
-    out.assign(data_ + pos_, data_ + pos_ + n);
+    if (start != nullptr) *start = data_ + pos_;
     pos_ += n;
     return true;
   }
@@ -240,38 +231,136 @@ class Decoder {
   std::size_t pos_ = 0;
 };
 
-bool decode_rr(Decoder& dec, ResourceRecord& rr) {
+static_assert(NameView::kMaxLabels >= (kMaxNameWire - 1) / 2,
+              "a name within the wire cap must fit a NameView");
+
+// The one message walk, shared by decode() and scan_query().  It validates
+// every field and section the same way whatever the sink; the sink only
+// decides what is kept.  Each name is read as packet views into a NameView
+// the sink lends (`name_for`); a sink that keeps records gets an owning
+// copy of each (decode()), the other keeps only what the scan needs.
+
+/// decode()'s sink: the whole Message, every name and rdata owned.
+struct MessageSink {
+  static constexpr bool kKeepsRecords = true;
+  explicit MessageSink(Message& m) : msg(m) {}
+  Message& msg;
+  NameView scratch;  // left uninitialized: only [0, count) is ever read
+
+  void header(std::uint16_t id, std::uint16_t flags, std::uint16_t) {
+    msg.id = id;
+    msg.is_response = (flags & 0x8000) != 0;
+    msg.opcode = static_cast<std::uint8_t>((flags >> 11) & 0xf);
+    msg.authoritative = (flags & 0x0400) != 0;
+    msg.truncated = (flags & 0x0200) != 0;
+    msg.recursion_desired = (flags & 0x0100) != 0;
+    msg.recursion_available = (flags & 0x0080) != 0;
+    msg.rcode = static_cast<RCode>(flags & 0xf);
+  }
+  NameView& name_for(std::uint16_t) { return scratch; }
+  void question(std::uint16_t, std::uint16_t qtype, std::uint16_t qclass) {
+    msg.questions.push_back(Question{.name = scratch.to_name(),
+                                     .qtype = static_cast<QType>(qtype),
+                                     .qclass = static_cast<QClass>(qclass)});
+  }
+  std::vector<ResourceRecord>& section(int s) {
+    return s == 0 ? msg.answers : s == 1 ? msg.authorities : msg.additionals;
+  }
+};
+
+/// scan_query()'s sink: the header bits and the first question, its name
+/// written straight into the scan as packet views.
+struct ScanSink {
+  static constexpr bool kKeepsRecords = false;
+  explicit ScanSink(QueryScan& o) : out(o) {}
+  QueryScan& out;
+  NameView scratch;  // later questions and every RR name
+
+  void header(std::uint16_t, std::uint16_t flags, std::uint16_t qd) {
+    out.is_response = (flags & 0x8000) != 0;
+    out.opcode = static_cast<std::uint8_t>((flags >> 11) & 0xf);
+    out.qdcount = qd;
+    out.qname.count = 0;
+  }
+  NameView& name_for(std::uint16_t question) { return question == 0 ? out.qname : scratch; }
+  void question(std::uint16_t i, std::uint16_t qtype, std::uint16_t qclass) {
+    if (i != 0) return;
+    out.qtype = static_cast<QType>(qtype);
+    out.qclass = static_cast<QClass>(qclass);
+  }
+};
+
+/// One resource record of section `section` (0 answer, 1 authority,
+/// 2 additional).
+template <class Sink>
+bool walk_rr(Decoder& dec, Sink& sink, [[maybe_unused]] int section) {
+  NameView& name = sink.scratch;
   std::uint16_t rtype = 0, rclass = 0, rdlength = 0;
-  if (!dec.name(rr.name) || !dec.u16(rtype) || !dec.u16(rclass) || !dec.u32(rr.ttl) ||
-      !dec.u16(rdlength)) {
+  std::uint32_t ttl = 0;
+  if (!dec.name(name)) return false;
+  ResourceRecord* rr = nullptr;
+  if constexpr (Sink::kKeepsRecords) {
+    rr = &sink.section(section).emplace_back();
+    rr->name = name.to_name();
+  }
+  if (!dec.u16(rtype) || !dec.u16(rclass) || !dec.u32(ttl) || !dec.u16(rdlength)) {
     return false;
   }
-  rr.rtype = static_cast<QType>(rtype);
-  rr.rclass = static_cast<QClass>(rclass);
+  if constexpr (Sink::kKeepsRecords) {
+    rr->rtype = static_cast<QType>(rtype);
+    rr->rclass = static_cast<QClass>(rclass);
+    rr->ttl = ttl;
+  }
   const std::size_t rdata_start = dec.pos();
-  switch (rr.rtype) {
+  switch (static_cast<QType>(rtype)) {
     case QType::kA: {
       std::uint32_t v = 0;
       if (rdlength != 4 || !dec.u32(v)) return false;
-      rr.rdata.value = net::IPv4Addr(v);
+      if constexpr (Sink::kKeepsRecords) rr->rdata.value = net::IPv4Addr(v);
       return true;
     }
     case QType::kPTR:
     case QType::kNS:
     case QType::kCNAME: {
-      DnsName n;
-      if (!dec.name(n)) return false;
+      if (!dec.name(name)) return false;
       if (dec.pos() != rdata_start + rdlength) return false;
-      rr.rdata.value = std::move(n);
+      if constexpr (Sink::kKeepsRecords) rr->rdata.value = name.to_name();
       return true;
     }
     default: {
-      std::vector<std::uint8_t> raw;
-      if (!dec.bytes(rdlength, raw)) return false;
-      rr.rdata.value = std::move(raw);
+      // Bounds are checked before any allocation, so a claimed length the
+      // packet does not hold can never drive a speculative allocation.
+      [[maybe_unused]] const std::uint8_t* raw = nullptr;
+      if (!dec.skip(rdlength, &raw)) return false;
+      if constexpr (Sink::kKeepsRecords) {
+        rr->rdata.value = std::vector<std::uint8_t>(raw, raw + rdlength);
+      }
       return true;
     }
   }
+}
+
+template <class Sink>
+bool walk_message(const std::uint8_t* data, std::size_t size, Sink& sink) {
+  Decoder dec(data, size);
+  std::uint16_t id = 0, flags = 0, qd = 0;
+  std::uint16_t counts[3] = {0, 0, 0};  // answer, authority, additional
+  if (!dec.u16(id) || !dec.u16(flags) || !dec.u16(qd) || !dec.u16(counts[0]) ||
+      !dec.u16(counts[1]) || !dec.u16(counts[2])) {
+    return false;
+  }
+  sink.header(id, flags, qd);
+  for (std::uint16_t i = 0; i < qd; ++i) {
+    std::uint16_t qtype = 0, qclass = 0;
+    if (!dec.name(sink.name_for(i)) || !dec.u16(qtype) || !dec.u16(qclass)) return false;
+    sink.question(i, qtype, qclass);
+  }
+  for (int s = 0; s < 3; ++s) {
+    for (std::uint16_t i = 0; i < counts[s]; ++i) {
+      if (!walk_rr(dec, sink, s)) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -321,46 +410,19 @@ std::vector<std::uint8_t> encode(const Message& msg) {
 }
 
 std::optional<Message> decode(const std::uint8_t* data, std::size_t size) {
-  Decoder dec(data, size);
   Message msg;
-  std::uint16_t flags = 0, qd = 0, an = 0, ns = 0, ar = 0;
-  if (!dec.u16(msg.id) || !dec.u16(flags) || !dec.u16(qd) || !dec.u16(an) || !dec.u16(ns) ||
-      !dec.u16(ar)) {
-    return std::nullopt;
-  }
-  msg.is_response = (flags & 0x8000) != 0;
-  msg.opcode = static_cast<std::uint8_t>((flags >> 11) & 0xf);
-  msg.authoritative = (flags & 0x0400) != 0;
-  msg.truncated = (flags & 0x0200) != 0;
-  msg.recursion_desired = (flags & 0x0100) != 0;
-  msg.recursion_available = (flags & 0x0080) != 0;
-  msg.rcode = static_cast<RCode>(flags & 0xf);
-
-  for (std::uint16_t i = 0; i < qd; ++i) {
-    Question q;
-    std::uint16_t qtype = 0, qclass = 0;
-    if (!dec.name(q.name) || !dec.u16(qtype) || !dec.u16(qclass)) return std::nullopt;
-    q.qtype = static_cast<QType>(qtype);
-    q.qclass = static_cast<QClass>(qclass);
-    msg.questions.push_back(std::move(q));
-  }
-  const auto read_section = [&dec](std::uint16_t count, std::vector<ResourceRecord>& out) {
-    for (std::uint16_t i = 0; i < count; ++i) {
-      ResourceRecord rr;
-      if (!decode_rr(dec, rr)) return false;
-      out.push_back(std::move(rr));
-    }
-    return true;
-  };
-  if (!read_section(an, msg.answers) || !read_section(ns, msg.authorities) ||
-      !read_section(ar, msg.additionals)) {
-    return std::nullopt;
-  }
+  MessageSink sink(msg);
+  if (!walk_message(data, size, sink)) return std::nullopt;
   return msg;
 }
 
 std::optional<Message> decode(const std::vector<std::uint8_t>& wire) {
   return decode(wire.data(), wire.size());
+}
+
+bool scan_query(const std::uint8_t* data, std::size_t size, QueryScan& out) {
+  ScanSink sink(out);
+  return walk_message(data, size, sink);
 }
 
 }  // namespace dnsbs::dns

@@ -113,4 +113,23 @@ std::vector<std::uint8_t> encode(const Message& msg);
 std::optional<Message> decode(const std::vector<std::uint8_t>& wire);
 std::optional<Message> decode(const std::uint8_t* data, std::size_t size);
 
+/// What packet capture classifies a query on, read without building a
+/// Message: the header bits, the question count, and the first question
+/// with its name as views into the packet (qname.count is 0 when there is
+/// no question).
+struct QueryScan {
+  bool is_response = false;
+  std::uint8_t opcode = 0;
+  std::uint16_t qdcount = 0;
+  NameView qname;
+  QType qtype = QType::kA;
+  QClass qclass = QClass::kIN;
+};
+
+/// The same walk as decode() with a different sink: every section is
+/// validated exactly as decode() validates it, so this returns false
+/// exactly when decode() returns nullopt, but nothing is allocated and
+/// only `out` is filled.  `out.qname` views `data`.
+bool scan_query(const std::uint8_t* data, std::size_t size, QueryScan& out);
+
 }  // namespace dnsbs::dns

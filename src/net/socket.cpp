@@ -174,6 +174,17 @@ bool TcpStream::read_exact(void* buf, std::size_t len, int timeout_ms) {
   return true;
 }
 
+std::optional<std::size_t> TcpStream::read_some(void* buf, std::size_t cap,
+                                                int timeout_ms) {
+  if (!wait_readable(fd_, timeout_ms)) return std::nullopt;
+  for (;;) {
+    const ssize_t n = ::recv(fd_, buf, cap, 0);
+    if (n > 0) return static_cast<std::size_t>(n);
+    if (n < 0 && errno == EINTR) continue;
+    return std::nullopt;  // EOF or error
+  }
+}
+
 std::optional<std::string> TcpStream::read_line(int timeout_ms, std::size_t max_len) {
   std::string line;
   char c = 0;

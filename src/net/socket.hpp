@@ -1,10 +1,10 @@
 // Thin RAII wrappers over POSIX UDP/TCP sockets for the streaming daemon.
 //
-// Scope is deliberately small: IPv4 only (the sensor pipeline is IPv4),
+// Scope is deliberately small: IPv4 only (the sensor pipeline is IPv4) and
 // blocking IO with poll()-based timeouts so intake threads can notice a
-// stop flag, and no buffering cleverness — the daemon's bounded queue is
-// the buffer.  Errors surface as false/std::nullopt plus errno text via
-// last_error(); nothing throws.
+// stop flag.  Framing and buffering belong to the caller (the daemon cuts
+// TCP frames out of its own per-connection buffer).  Errors surface as
+// false/std::nullopt plus errno text via last_error(); nothing throws.
 #pragma once
 
 #include <cstddef>
@@ -77,6 +77,10 @@ class TcpStream : public Socket {
   /// Reads exactly `len` bytes, waiting up to `timeout_ms` between chunks;
   /// false on EOF/timeout/error.
   bool read_exact(void* buf, std::size_t len, int timeout_ms);
+  /// One poll + one recv: waits up to `timeout_ms` for data and reads
+  /// whatever is there, at most `cap` (> 0) bytes.  Returns the count (>= 1);
+  /// nullopt on EOF/timeout/error.
+  std::optional<std::size_t> read_some(void* buf, std::size_t cap, int timeout_ms);
   /// Reads up to and including '\n' (returned without it, CR stripped);
   /// nullopt on EOF/timeout before a full line.
   std::optional<std::string> read_line(int timeout_ms, std::size_t max_len = 4096);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <sstream>
@@ -38,6 +39,9 @@ util::MetricCounter& g_bad_stamp = util::metrics_counter("dnsbs.serve.bad_stamp"
 
 constexpr std::size_t kStampHeader = 12;  // 8B LE seconds + 4B LE querier
 constexpr std::size_t kMaxDatagram = 65535;
+/// TCP intake buffer: the largest frame (u16 length + 65535-byte payload)
+/// plus room for the frames that follow it in one read.
+constexpr std::size_t kTcpBuffer = 4 * (kMaxDatagram + 1);
 constexpr int kPollMs = 100;
 
 std::uint64_t read_le64(const std::uint8_t* p) {
@@ -199,18 +203,37 @@ void ServeDaemon::tcp_loop() {
 
 void ServeDaemon::serve_tcp_connection(net::TcpStream stream) {
   // Length-prefixed frames: u16 big-endian payload size, then the payload
-  // (same framing as DNS-over-TCP, RFC 1035 §4.2.2).  Blocking push: a
-  // full queue stalls the peer instead of dropping — replay is lossless.
+  // (same framing as DNS-over-TCP, RFC 1035 §4.2.2).  One recv per
+  // readable chunk into a per-connection buffer; every complete frame in
+  // it goes to the queue in one blocking push_all (a full queue stalls the
+  // peer instead of dropping — replay is lossless), and a partial frame
+  // waits in the buffer for the next read.  The buffer holds the largest
+  // frame, so a partial frame always leaves room to read into.
+  std::vector<std::uint8_t> buf(kTcpBuffer);
+  std::size_t filled = 0;
+  std::vector<RawPacket> frames;
   while (!stop_.load()) {
-    std::uint8_t len_buf[2];
-    if (!stream.read_exact(len_buf, 2, kPollMs * 50)) return;  // EOF / idle peer
-    const std::size_t len = (static_cast<std::size_t>(len_buf[0]) << 8) | len_buf[1];
-    RawPacket packet;
-    packet.bytes.resize(len);
-    if (len > 0 && !stream.read_exact(packet.bytes.data(), len, kPollMs * 50)) return;
-    g_frames.inc();
-    packet.wall_secs = static_cast<std::int64_t>(::time(nullptr));
-    if (!queue_.push(std::move(packet))) return;
+    // EOF / idle peer / error; a partial frame still buffered is dropped.
+    const auto n = stream.read_some(buf.data() + filled, buf.size() - filled, kPollMs * 50);
+    if (!n) return;
+    filled += *n;
+    const auto wall_secs = static_cast<std::int64_t>(::time(nullptr));
+    std::size_t pos = 0;
+    while (filled - pos >= 2) {
+      const std::size_t len = (static_cast<std::size_t>(buf[pos]) << 8) | buf[pos + 1];
+      if (filled - pos - 2 < len) break;
+      RawPacket& packet = frames.emplace_back();
+      packet.bytes.assign(buf.begin() + static_cast<std::ptrdiff_t>(pos + 2),
+                          buf.begin() + static_cast<std::ptrdiff_t>(pos + 2 + len));
+      packet.wall_secs = wall_secs;
+      pos += 2 + len;
+    }
+    std::memmove(buf.data(), buf.data() + pos, filled - pos);
+    filled -= pos;
+    if (frames.empty()) continue;
+    g_frames.add(frames.size());
+    if (!queue_.push_all(frames)) return;
+    frames.clear();
   }
 }
 

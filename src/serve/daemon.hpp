@@ -3,7 +3,9 @@
 // Layout (one process, four threads):
 //
 //   udp thread    recvfrom() -> RawPacket -> try_push (drop + count when full)
-//   tcp thread    accept(); length-prefixed frames -> blocking push (lossless)
+//   tcp thread    accept(); buffered recv, length-prefixed frames cut out of
+//                 the buffer, all frames of one read -> one blocking
+//                 push_all (lossless)
 //   status thread accept(); line commands (STATS/HISTORY/TRACE/CHECKPOINT/
 //                 FLUSH/SHUTDOWN/PING) forwarded to the drive thread, reply
 //                 written back.  The same socket answers HTTP/1.1 GETs

@@ -2,15 +2,20 @@
 //
 // Backpressure policy is per-transport, chosen by the caller: UDP intake
 // uses try_push (a full queue drops the datagram and counts it — exactly
-// what the kernel would do anyway), TCP intake uses the blocking push so
-// the peer's send window stalls instead (lossless replay).  A closed
-// queue rejects producers and lets the consumer drain what's left.
+// what the kernel would do anyway), TCP intake uses the blocking push_all
+// so the peer's send window stalls instead (lossless replay): every frame
+// one socket read delivered goes in under one lock and one wake-up.  The
+// capacity counts items, however they arrive.  A closed queue rejects
+// producers and lets the consumer drain what's left.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -41,6 +46,26 @@ class BoundedQueue {
       items_.push_back(std::move(item));
     }
     not_empty_.notify_one();
+    return true;
+  }
+
+  /// Blocking, in order: moves every item of `items` into the queue,
+  /// waiting for space whenever it is full (a batch larger than the
+  /// capacity goes in as the consumer makes room).  False when the queue
+  /// closes first; items already queued stay queued.
+  bool push_all(std::span<T> items) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (std::size_t next = 0; next < items.size();) {
+      not_full_.wait(lock, [this] { return closed_ || items_.size() < capacity_; });
+      if (closed_) return false;
+      const std::size_t take = std::min(capacity_ - items_.size(), items.size() - next);
+      for (const std::size_t end = next + take; next < end; ++next) {
+        items_.push_back(std::move(items[next]));
+      }
+      // Wake the consumer before waiting for space again, or a batch
+      // larger than the free space would wait out the consumer's timeout.
+      not_empty_.notify_one();
+    }
     return true;
   }
 

@@ -111,6 +111,12 @@ struct SensorSweepCase {
   std::size_t top_n;
 };
 
+// Print the knobs, not the struct's raw bytes: gtest puts the printed
+// parameter into the listed test name.
+void PrintTo(const SensorSweepCase& c, std::ostream* os) {
+  *os << "min_queriers_" << c.min_queriers << "_top_n_" << c.top_n;
+}
+
 class SensorSweep : public ::testing::TestWithParam<SensorSweepCase> {
  protected:
   class NullResolver final : public QuerierResolver {

@@ -142,6 +142,10 @@ struct SvmCase {
   double C;
   double gamma;
 };
+// Print the knobs, not the struct's raw bytes: gtest puts the printed
+// parameter into the listed test name.
+void PrintTo(const SvmCase& c, std::ostream* os) { *os << "C_" << c.C << "_gamma_" << c.gamma; }
+
 class SvmConfigSweep : public ::testing::TestWithParam<SvmCase> {};
 
 TEST_P(SvmConfigSweep, LearnsSeparableData) {

@@ -5,6 +5,8 @@
 // protocol).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -220,6 +222,58 @@ TEST(BoundedQueue, CloseRejectsProducersAndDrains) {
   std::vector<int> out;
   EXPECT_EQ(q.pop_batch(out, 10, 0), 1u) << "consumer can drain after close";
   EXPECT_EQ(q.pop_batch(out, 10, 0), 0u);
+}
+
+TEST(BoundedQueue, PushAllKeepsOrder) {
+  serve::BoundedQueue<int> q(8);
+  ASSERT_TRUE(q.try_push(0));
+  std::vector<int> batch = {1, 2, 3};
+  EXPECT_TRUE(q.push_all(batch));
+  ASSERT_TRUE(q.try_push(4));
+  std::vector<int> out;
+  EXPECT_EQ(q.pop_batch(out, 10, 0), 5u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(BoundedQueue, PushAllBlocksUntilThereIsSpace) {
+  // A batch larger than the capacity goes in as the consumer makes room;
+  // the capacity still counts items, so the queue never holds more than 2.
+  serve::BoundedQueue<int> q(2);
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    std::vector<int> batch = {1, 2, 3, 4, 5};
+    EXPECT_TRUE(q.push_all(batch));
+    done.store(true);
+  });
+  while (q.size() < 2) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(done.load()) << "push_all must wait for space, not drop or overfill";
+  EXPECT_EQ(q.size(), 2u);
+  std::vector<int> out;
+  while (out.size() < 5) {
+    EXPECT_LE(q.size(), 2u);
+    q.pop_batch(out, 1, 1000);
+  }
+  producer.join();
+  EXPECT_TRUE(done.load());
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(BoundedQueue, PushAllReturnsFalseOnClose) {
+  serve::BoundedQueue<int> q(1);
+  ASSERT_TRUE(q.try_push(1));
+  std::thread producer([&q] {
+    std::vector<int> batch = {2, 3};
+    EXPECT_FALSE(q.push_all(batch)) << "close() must wake and reject a blocked push_all";
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  q.close();
+  producer.join();
+  std::vector<int> batch = {4};
+  EXPECT_FALSE(q.push_all(batch));
+  std::vector<int> out;
+  EXPECT_EQ(q.pop_batch(out, 10, 0), 1u) << "items queued before close() stay queued";
+  EXPECT_EQ(out, (std::vector<int>{1}));
 }
 
 // ---- streaming driver fixtures -----------------------------------------
@@ -1399,6 +1453,133 @@ TEST(ServeDaemon, AsyncLoopbackSummariesMatchSyncByteForByte) {
   EXPECT_NE(async_stats.find("dnsbs.serve.jobs.close.completed"), std::string::npos)
       << "job queue metrics should ride the registry";
 #endif
+}
+
+// The TCP intake cuts frames out of a buffer, not one read per frame: the
+// same frames must give the same capture tallies and the same windows file
+// however the byte stream is split into writes (and so into reads),
+// including a maximal 65535-byte frame, a zero-length frame and a stream
+// that ends mid-frame (the partial frame is dropped).
+TEST(ServeDaemon, TcpFramingIsIndependentOfReadBoundaries) {
+  Dbs dbs;
+  const CategoryResolver resolver;
+  const std::string dir = ::testing::TempDir();
+
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int w = 0; w < 3; ++w) {
+    for (int o = 0; o < 3; ++o) {
+      for (int q = 0; q < 4; ++q) {
+        const auto message = dns::make_ptr_query_packet(
+            static_cast<std::uint16_t>(frames.size()), addr(192, 0, 2, o));
+        frames.push_back(stamped_payload(w * 100 + q, addr(10, 0, q, o), message));
+      }
+    }
+    if (w == 1) {
+      // Largest frame: a PTR query padded to the u16 limit (decode ignores
+      // trailing bytes, so it is accepted), then an empty frame (bad stamp).
+      auto big = stamped_payload(150, addr(10, 0, 7, 0),
+                                 dns::make_ptr_query_packet(7, addr(192, 0, 2, 1)));
+      big.resize(0xffff, 0);
+      frames.push_back(std::move(big));
+      frames.emplace_back();
+    }
+  }
+  std::vector<std::uint8_t> wire;
+  std::vector<std::size_t> frame_end;  // offset just past each frame
+  for (const auto& f : frames) {
+    append_be16(wire, f.size());
+    wire.insert(wire.end(), f.begin(), f.end());
+    frame_end.push_back(wire.size());
+  }
+
+  struct Run {
+    std::string capture;  ///< STATS "capture" object
+    std::string windows;
+  };
+  // `send` writes the stream to an open intake connection.
+  const auto run_daemon = [&](const std::string& tag, const auto& send) {
+    const std::string windows_out = dir + "serve_framing_" + tag + ".txt";
+    std::remove(windows_out.c_str());
+    serve::ServeConfig cfg;
+    cfg.tcp = true;
+    cfg.stamped = true;
+    cfg.streaming.window = SimTime::seconds(100);
+    cfg.pipeline = pipeline_config();
+    cfg.pipeline.sensor.min_queriers = 3;
+    cfg.windows_out = windows_out;
+    serve::ServeDaemon daemon(cfg, dbs.as_db, dbs.geo_db, resolver);
+    std::string error;
+    EXPECT_TRUE(daemon.start(error)) << error;
+    {
+      auto stream = net::TcpStream::connect("127.0.0.1", daemon.tcp_port());
+      EXPECT_TRUE(stream.has_value()) << tag;
+      if (stream) send(*stream);
+    }
+    auto control = net::TcpStream::connect("127.0.0.1", daemon.status_port());
+    EXPECT_TRUE(control.has_value()) << tag;
+    const auto command = [&control](const std::string& cmd) -> std::string {
+      const std::string line = cmd + "\n";
+      EXPECT_TRUE(control->write_all(line.data(), line.size()));
+      return control->read_line(30000, std::size_t{1} << 20).value_or("");
+    };
+    EXPECT_EQ(command("FLUSH"), "OK flushed") << tag;
+    const std::string stats = command("STATS");
+    EXPECT_EQ(command("SHUTDOWN"), "OK shutting down") << tag;
+    daemon.wait();
+    Run run;
+    const auto at = stats.find("\"capture\":{");
+    EXPECT_NE(at, std::string::npos) << stats;
+    if (at != std::string::npos) run.capture = stats.substr(at, stats.find('}', at) - at + 1);
+    std::ifstream in(windows_out, std::ios::binary);
+    run.windows.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    return run;
+  };
+  const auto write = [](net::TcpStream& s, const std::uint8_t* p, std::size_t n) {
+    EXPECT_TRUE(s.write_all(p, n));
+  };
+
+  const Run whole = run_daemon("whole", [&](net::TcpStream& s) {
+    write(s, wire.data(), wire.size());
+  });
+  // Byte by byte through the first three frames, pausing so the daemon
+  // reads length prefixes and payloads in pieces.
+  const Run bytewise = run_daemon("bytewise", [&](net::TcpStream& s) {
+    for (std::size_t i = 0; i < frame_end[2]; ++i) {
+      write(s, wire.data() + i, 1);
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+    write(s, wire.data() + frame_end[2], wire.size() - frame_end[2]);
+  });
+  // Odd-sized chunks that straddle every frame boundary, the big frame's
+  // included.
+  const Run chunked = run_daemon("chunked", [&](net::TcpStream& s) {
+    for (std::size_t at = 0; at < wire.size(); at += 997) {
+      write(s, wire.data() + at, std::min<std::size_t>(997, wire.size() - at));
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  // Every frame, then a partial one: its length prefix and part of its
+  // payload, or half a length prefix.
+  const Run cut_payload = run_daemon("cut_payload", [&](net::TcpStream& s) {
+    write(s, wire.data(), wire.size());
+    write(s, wire.data(), frame_end[0] - 5);
+  });
+  const Run cut_prefix = run_daemon("cut_prefix", [&](net::TcpStream& s) {
+    write(s, wire.data(), wire.size());
+    write(s, wire.data(), 1);
+  });
+
+  const std::string expected_capture =
+      "\"capture\":{\"packets\":" + std::to_string(frames.size() - 1) +
+      ",\"accepted\":" + std::to_string(frames.size() - 1) +
+      ",\"malformed\":0,\"responses\":0,\"rejected_query\":0,\"non_ptr\":0,"
+      "\"non_reverse_name\":0}";
+  EXPECT_EQ(whole.capture, expected_capture) << "the empty frame is a bad stamp, not a packet";
+  EXPECT_FALSE(whole.windows.empty());
+  for (const Run* run : {&bytewise, &chunked, &cut_payload, &cut_prefix}) {
+    EXPECT_EQ(run->capture, whole.capture);
+    EXPECT_EQ(run->windows, whole.windows) << "--windows-out must not depend on read boundaries";
+  }
 }
 
 // ---- HTTP scrape surface + HISTORY/TRACE verbs -------------------------

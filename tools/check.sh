@@ -45,12 +45,21 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${JOBS:-$(nproc)}"
 
+# configure BUILD_DIR CMAKE_ARGS...: configures a build tree from $ROOT.
+# A new tree gets Ninja when it is installed; an existing tree keeps the
+# generator it was made with (cmake refuses to switch generators).
+configure() {
+  local dir="$1"; shift
+  local gen=()
+  if [[ ! -f "$dir/CMakeCache.txt" ]] && command -v ninja >/dev/null 2>&1; then
+    gen=(-G Ninja)
+  fi
+  cmake -B "$dir" -S "$ROOT" "${gen[@]}" "$@" >/dev/null
+}
+
 if [[ "${PERF:-0}" == "1" ]]; then
   BUILD="${BUILD_DIR:-$ROOT/build-perf}"
-  GEN=()
-  command -v ninja >/dev/null 2>&1 && GEN=(-G Ninja)
-  cmake -B "$BUILD" -S "$ROOT" "${GEN[@]}" -DCMAKE_BUILD_TYPE=Release \
-    -DDNSBS_METRICS=ON >/dev/null
+  configure "$BUILD" -DCMAKE_BUILD_TYPE=Release -DDNSBS_METRICS=ON
   cmake --build "$BUILD" -j"$JOBS" --target bench_perf_pipeline --target bench_ml
   # best-of-5 rather than the default 3: the gate compares against a
   # committed baseline, so scheduler noise must shrink, not inflate
@@ -81,8 +90,7 @@ if [[ "${PERF:-0}" == "1" ]]; then
   # DESIGN.md "Observability").  Interleaved best-of runs per build so a
   # noisy-neighbor window hits both sides, not just one.
   BUILD_OFF="$ROOT/build-perf-noop"
-  cmake -B "$BUILD_OFF" -S "$ROOT" "${GEN[@]}" -DCMAKE_BUILD_TYPE=Release \
-    -DDNSBS_METRICS=OFF >/dev/null
+  configure "$BUILD_OFF" -DCMAKE_BUILD_TYPE=Release -DDNSBS_METRICS=OFF
   cmake --build "$BUILD_OFF" -j"$JOBS" --target bench_perf_pipeline
   rate_of() {  # rate_of BINARY JSON_PATH: end-to-end rec/s, best-of-5
     "$1" --json "$2" --repeat 5 >/dev/null
@@ -106,9 +114,7 @@ fi
 
 if [[ "${METRICS:-1}" == "0" ]]; then
   BUILD="${BUILD_DIR:-$ROOT/build-metrics-off}"
-  GEN=()
-  command -v ninja >/dev/null 2>&1 && GEN=(-G Ninja)
-  cmake -B "$BUILD" -S "$ROOT" "${GEN[@]}" -DDNSBS_METRICS=OFF >/dev/null
+  configure "$BUILD" -DDNSBS_METRICS=OFF
   cmake --build "$BUILD" -j"$JOBS"
   exec ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS" "$@"
 fi
@@ -120,9 +126,7 @@ if [[ "${SERVE:-0}" == "1" ]]; then
   # SHUTDOWN mid-stream, restarted with --restore, then fed the rest —
   # and the per-window summary files must be byte-identical.
   BUILD="${BUILD_DIR:-$ROOT/build-serve}"
-  GEN=()
-  command -v ninja >/dev/null 2>&1 && GEN=(-G Ninja)
-  cmake -B "$BUILD" -S "$ROOT" "${GEN[@]}" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  configure "$BUILD" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD" -j"$JOBS" --target dnsbs_cli
   CLI="$BUILD/tools/dnsbs_cli"
   WORK="$(mktemp -d)"
@@ -223,9 +227,7 @@ if [[ "${FEDERATION:-0}" == "1" ]]; then
   # wholesale) — and a coordinator configured differently must refuse the
   # state files.
   BUILD="${BUILD_DIR:-$ROOT/build-federation}"
-  GEN=()
-  command -v ninja >/dev/null 2>&1 && GEN=(-G Ninja)
-  cmake -B "$BUILD" -S "$ROOT" "${GEN[@]}" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  configure "$BUILD" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD" -j"$JOBS" --target dnsbs_cli
   CLI="$BUILD/tools/dnsbs_cli"
   WORK="$(mktemp -d)"
@@ -279,9 +281,7 @@ if [[ "${OBS:-0}" == "1" ]]; then
   #      compiled in: instrumented end-to-end throughput >= 98% of a
   #      -DDNSBS_METRICS=OFF build.
   BUILD="${BUILD_DIR:-$ROOT/build-serve}"
-  GEN=()
-  command -v ninja >/dev/null 2>&1 && GEN=(-G Ninja)
-  cmake -B "$BUILD" -S "$ROOT" "${GEN[@]}" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  configure "$BUILD" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD" -j"$JOBS" --target dnsbs_cli
   CLI="$BUILD/tools/dnsbs_cli"
   WORK="$(mktemp -d)"
@@ -375,11 +375,9 @@ PY
   # best-of discipline as the PERF gate.
   BUILD_ON="$ROOT/build-perf"
   BUILD_OFF="$ROOT/build-perf-noop"
-  cmake -B "$BUILD_ON" -S "$ROOT" "${GEN[@]}" -DCMAKE_BUILD_TYPE=Release \
-    -DDNSBS_METRICS=ON >/dev/null
+  configure "$BUILD_ON" -DCMAKE_BUILD_TYPE=Release -DDNSBS_METRICS=ON
   cmake --build "$BUILD_ON" -j"$JOBS" --target bench_perf_pipeline
-  cmake -B "$BUILD_OFF" -S "$ROOT" "${GEN[@]}" -DCMAKE_BUILD_TYPE=Release \
-    -DDNSBS_METRICS=OFF >/dev/null
+  configure "$BUILD_OFF" -DCMAKE_BUILD_TYPE=Release -DDNSBS_METRICS=OFF
   cmake --build "$BUILD_OFF" -j"$JOBS" --target bench_perf_pipeline
   rate_of() {
     "$1" --json "$2" --repeat 5 >/dev/null
@@ -414,9 +412,7 @@ fi
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:strict_string_checks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 
-GEN=()
-command -v ninja >/dev/null 2>&1 && GEN=(-G Ninja)
 
-cmake -B "$BUILD" -S "$ROOT" "${GEN[@]}" -DDNSBS_SANITIZE="$SANITIZE" >/dev/null
+configure "$BUILD" -DDNSBS_SANITIZE="$SANITIZE"
 cmake --build "$BUILD" -j"$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS" "$@"

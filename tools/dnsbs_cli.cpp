@@ -592,16 +592,31 @@ int cmd_sendlog(const cli::Options& opt) {
       std::fprintf(stderr, "cannot connect to %s\n", opt.to.c_str());
       return 1;
     }
-    for (const auto& r : records) {
-      const auto frame = frame_for(r, static_cast<std::uint16_t>(sent & 0xffff));
-      const std::uint8_t len[2] = {static_cast<std::uint8_t>(frame.size() >> 8),
-                                   static_cast<std::uint8_t>(frame.size() & 0xff)};
-      if (!stream->write_all(len, 2) || !stream->write_all(frame.data(), frame.size())) {
+    // Frames (u16 big-endian length + payload) are coalesced into ~64 KiB
+    // writes; the bytes on the wire are the same as one write per frame.
+    constexpr std::size_t kFlushAt = 64 * 1024;
+    std::vector<std::uint8_t> buf;
+    buf.reserve(2 * kFlushAt);
+    std::size_t buffered = 0;  // records in `buf`
+    const auto flush = [&] {
+      if (!buf.empty() && !stream->write_all(buf.data(), buf.size())) {
         std::fprintf(stderr, "send failed after %zu records\n", sent);
-        return 1;
+        return false;
       }
-      ++sent;
+      sent += buffered;
+      buffered = 0;
+      buf.clear();
+      return true;
+    };
+    for (const auto& r : records) {
+      const auto frame = frame_for(r, static_cast<std::uint16_t>((sent + buffered) & 0xffff));
+      buf.push_back(static_cast<std::uint8_t>(frame.size() >> 8));
+      buf.push_back(static_cast<std::uint8_t>(frame.size() & 0xff));
+      buf.insert(buf.end(), frame.begin(), frame.end());
+      ++buffered;
+      if (buf.size() >= kFlushAt && !flush()) return 1;
     }
+    if (!flush()) return 1;
   } else {
     net::UdpSocket sock;
     for (const auto& r : records) {
